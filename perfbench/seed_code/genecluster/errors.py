@@ -1,0 +1,36 @@
+"""Exception hierarchy shared across the package."""
+
+
+class GeneClusterError(Exception):
+    """Base class for errors raised by this package."""
+
+
+class ParseError(GeneClusterError):
+    """Malformed input text (ragged rows, non-numeric fields, missing header)."""
+
+    def __init__(self, message, line=None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
+
+
+class ValidationError(GeneClusterError):
+    """Structurally valid input that violates a domain invariant."""
+
+
+class EmptyMatrixError(ValidationError):
+    """An operation removed every gene, leaving nothing to work with."""
+
+
+class ConfigError(GeneClusterError):
+    """Invalid run configuration (bad flag combination, out-of-range value)."""
+
+
+class PipelineError(GeneClusterError):
+    """A pipeline stage failed; carries the stage name and the original cause."""
+
+    def __init__(self, stage, cause):
+        super().__init__(f"stage '{stage}' failed: {cause}")
+        self.stage = stage
+        self.cause = cause

@@ -1,0 +1,318 @@
+"""Expression matrix data model.
+
+Parsing, missing-value filtering, per-condition min-max normalization and
+discretization of expression profiles into -1/0/+1 regulation patterns.
+Matrices are immutable after construction; every operation returns a new one.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import math
+import warnings
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+from .errors import EmptyMatrixError, ParseError, ValidationError
+
+GENES_AS_ROWS = "genes-as-rows"
+GENES_AS_COLUMNS = "genes-as-columns"
+ORIENTATIONS = (GENES_AS_ROWS, GENES_AS_COLUMNS)
+
+# Missing-entry spellings, compared case-insensitively.
+MISSING_TOKENS = frozenset({"", "na", "nan"})
+
+MISSING_OUTPUT_TOKEN = "NA"
+
+
+def _check_unique(labels, kind):
+    seen = set()
+    for lab in labels:
+        if lab in seen:
+            raise ValidationError(f"duplicate {kind} id: {lab!r}")
+        seen.add(lab)
+
+
+def _freeze(values, dtype):
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class ExpressionMatrix:
+    """Genes-by-conditions matrix of real values; NaN marks a missing entry."""
+
+    gene_ids: tuple
+    condition_ids: tuple
+    values: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "gene_ids", tuple(self.gene_ids))
+        object.__setattr__(self, "condition_ids", tuple(self.condition_ids))
+        object.__setattr__(self, "values", _freeze(self.values, float))
+        if self.values.ndim != 2:
+            raise ValidationError("values must be a 2-d array")
+        if self.values.shape != (len(self.gene_ids), len(self.condition_ids)):
+            raise ValidationError(
+                f"value shape {self.values.shape} does not match "
+                f"{len(self.gene_ids)} genes x {len(self.condition_ids)} conditions"
+            )
+        if self.n_genes == 0 or self.n_conditions == 0:
+            raise ValidationError("matrix must have at least one gene and one condition")
+        _check_unique(self.gene_ids, "gene")
+        _check_unique(self.condition_ids, "condition")
+
+    @property
+    def n_genes(self):
+        return len(self.gene_ids)
+
+    @property
+    def n_conditions(self):
+        return len(self.condition_ids)
+
+    @property
+    def shape(self):
+        return (self.n_genes, self.n_conditions)
+
+    @property
+    def is_complete(self):
+        """True when no entry is missing."""
+        return not np.isnan(self.values).any()
+
+
+@dataclass(frozen=True, eq=False)
+class DiscretizedMatrix:
+    """Genes-by-conditions matrix of regulation codes, every entry in {-1, 0, +1}."""
+
+    gene_ids: tuple
+    condition_ids: tuple
+    values: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "gene_ids", tuple(self.gene_ids))
+        object.__setattr__(self, "condition_ids", tuple(self.condition_ids))
+        object.__setattr__(self, "values", _freeze(self.values, np.int8))
+        if self.values.ndim != 2 or self.values.shape != (
+            len(self.gene_ids),
+            len(self.condition_ids),
+        ):
+            raise ValidationError("value shape does not match gene/condition ids")
+        if self.n_genes == 0 or self.n_conditions == 0:
+            raise ValidationError("matrix must have at least one gene and one condition")
+        if not np.isin(self.values, (-1, 0, 1)).all():
+            raise ValidationError("discretized entries must be -1, 0 or +1")
+        _check_unique(self.gene_ids, "gene")
+        _check_unique(self.condition_ids, "condition")
+
+    @property
+    def n_genes(self):
+        return len(self.gene_ids)
+
+    @property
+    def n_conditions(self):
+        return len(self.condition_ids)
+
+    @property
+    def shape(self):
+        return (self.n_genes, self.n_conditions)
+
+
+@dataclass(frozen=True)
+class NormalizationParams:
+    """Target range for min-max normalization; new_min must be < new_max."""
+
+    new_min: float = 0.0
+    new_max: float = 1.0
+
+    def __post_init__(self):
+        if not (
+            math.isfinite(self.new_min)
+            and math.isfinite(self.new_max)
+            and self.new_min < self.new_max
+        ):
+            raise ValidationError(
+                f"need finite new_min < new_max, got [{self.new_min}, {self.new_max}]"
+            )
+
+
+def _parse_cell(field, line_no, col_label):
+    token = field.strip()
+    if token.lower() in MISSING_TOKENS:
+        return math.nan
+    try:
+        return float(token)
+    except ValueError:
+        raise ParseError(
+            f"column {col_label!r}: not a number: {token!r}", line=line_no
+        ) from None
+
+
+def parse_matrix(text, orientation=GENES_AS_ROWS, delimiter="\t"):
+    """Parse delimited text into an ExpressionMatrix.
+
+    The header row holds a corner label followed by the ids of whatever the
+    file's columns are; each data row starts with that row's id.  With
+    orientation "genes-as-rows" file rows are genes and file columns are
+    conditions; "genes-as-columns" is the transpose and is flipped into the
+    canonical genes-by-conditions layout.  The orientation is never guessed.
+    """
+    if orientation not in ORIENTATIONS:
+        raise ValidationError(f"unknown orientation: {orientation!r}")
+    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    rows = [(i + 1, row) for i, row in enumerate(reader) if row]
+    if not rows:
+        raise ParseError("empty input: no header row")
+    header_no, header = rows[0]
+    if len(header) < 2:
+        raise ParseError("header must contain at least one column id", line=header_no)
+    col_ids = tuple(h.strip() for h in header[1:])
+    row_ids = []
+    data = []
+    for line_no, row in rows[1:]:
+        if len(row) != len(header):
+            raise ParseError(
+                f"expected {len(header)} fields, got {len(row)}", line=line_no
+            )
+        row_ids.append(row[0].strip())
+        data.append(
+            [
+                _parse_cell(field, line_no, col_ids[j])
+                for j, field in enumerate(row[1:])
+            ]
+        )
+    if not data:
+        raise ParseError("no data rows after the header")
+    values = np.array(data, dtype=float)
+    if orientation == GENES_AS_ROWS:
+        return ExpressionMatrix(tuple(row_ids), col_ids, values)
+    return ExpressionMatrix(col_ids, tuple(row_ids), values.T)
+
+
+def parse_discretized(text, delimiter="\t"):
+    """Parse delimited text whose entries must all be -1, 0 or +1."""
+    m = parse_matrix(text, GENES_AS_ROWS, delimiter)
+    if not m.is_complete:
+        raise ValidationError("discretized matrix cannot have missing entries")
+    codes = m.values
+    if not (codes == np.rint(codes)).all():
+        raise ValidationError("discretized entries must be integers")
+    return DiscretizedMatrix(m.gene_ids, m.condition_ids, codes.astype(np.int8))
+
+
+def _infer_delimiter(path):
+    return "," if Path(path).suffix.lower() == ".csv" else "\t"
+
+
+def read_matrix(path, orientation=GENES_AS_ROWS, delimiter=None):
+    """Read a matrix file; delimiter comes from the extension unless given."""
+    if delimiter is None:
+        delimiter = _infer_delimiter(path)
+    return parse_matrix(Path(path).read_text(), orientation, delimiter)
+
+
+def _format_cell(v, integral):
+    if integral:
+        return str(int(v))
+    if math.isnan(v):
+        return MISSING_OUTPUT_TOKEN
+    return repr(float(v))
+
+
+def matrix_to_text(m, delimiter="\t"):
+    """Render a matrix (expression or discretized) back to delimited text.
+
+    Floats use repr so that a write/read round trip reproduces the exact
+    values; discretized matrices are written as bare integers.
+    """
+    integral = isinstance(m, DiscretizedMatrix)
+    out = io.StringIO()
+    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(["id", *m.condition_ids])
+    for gid, row in zip(m.gene_ids, m.values):
+        writer.writerow([gid, *(_format_cell(v, integral) for v in row)])
+    return out.getvalue()
+
+
+def write_matrix(m, path, delimiter=None):
+    if delimiter is None:
+        delimiter = _infer_delimiter(path)
+    Path(path).write_text(matrix_to_text(m, delimiter))
+
+
+def drop_incomplete_genes(m):
+    """Remove every gene row containing a missing entry.
+
+    Raises EmptyMatrixError when nothing survives; idempotent otherwise.
+    """
+    keep = ~np.isnan(m.values).any(axis=1)
+    if keep.all():
+        return m
+    if not keep.any():
+        raise EmptyMatrixError("every gene has at least one missing entry")
+    kept_ids = tuple(g for g, k in zip(m.gene_ids, keep) if k)
+    return ExpressionMatrix(kept_ids, m.condition_ids, m.values[keep])
+
+
+def subset_genes(m, gene_ids):
+    """Row submatrix for the given gene ids, keeping the matrix's row order."""
+    wanted = set(gene_ids)
+    missing = wanted - set(m.gene_ids)
+    if missing:
+        raise KeyError(f"unknown gene ids: {sorted(missing)}")
+    keep = [i for i, g in enumerate(m.gene_ids) if g in wanted]
+    if not keep:
+        raise EmptyMatrixError("gene subset is empty")
+    kept_ids = tuple(m.gene_ids[i] for i in keep)
+    return ExpressionMatrix(kept_ids, m.condition_ids, m.values[keep])
+
+
+def min_max_normalize(m, params=NormalizationParams()):
+    """Rescale every condition column linearly onto [new_min, new_max].
+
+    A column's minimum maps to exactly new_min and its maximum to exactly
+    new_max.  A constant column carries no contrast, so the whole column is
+    mapped to new_min and a warning is emitted.  The input must be complete.
+    """
+    if not m.is_complete:
+        raise ValidationError("matrix has missing entries; drop incomplete genes first")
+    v = m.values
+    lo = v.min(axis=0)
+    hi = v.max(axis=0)
+    span = hi - lo
+    constant = span == 0
+    if constant.any():
+        names = [c for c, flag in zip(m.condition_ids, constant) if flag]
+        warnings.warn(
+            f"constant condition column(s) mapped to new_min: {', '.join(names)}",
+            stacklevel=2,
+        )
+    t = np.zeros_like(v)
+    np.divide(v - lo, span, out=t, where=~constant)
+    out = params.new_min + t * (params.new_max - params.new_min)
+    np.clip(out, params.new_min, params.new_max, out=out)
+    # pin the extremes so the endpoints are exact, not just within rounding
+    out[v == hi] = params.new_max
+    out[v == lo] = params.new_min
+    out[:, constant] = params.new_min
+    return ExpressionMatrix(m.gene_ids, m.condition_ids, out)
+
+
+def discretize(m):
+    """Reduce each profile to a regulation pattern over {-1, 0, +1}.
+
+    The first code is the sign of the value at the first condition; each
+    later code is the sign of the change from the previous condition
+    (+1 risen, 0 unchanged, -1 fallen).
+    """
+    if not m.is_complete:
+        raise ValidationError("matrix has missing entries; drop incomplete genes first")
+    first = np.sign(m.values[:, :1])
+    if m.n_conditions == 1:
+        codes = first
+    else:
+        codes = np.concatenate([first, np.sign(np.diff(m.values, axis=1))], axis=1)
+    return DiscretizedMatrix(m.gene_ids, m.condition_ids, codes.astype(np.int8))

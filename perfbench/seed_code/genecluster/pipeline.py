@@ -1,0 +1,374 @@
+"""End-to-end pipeline: parse, filter, normalize, discretize, select, cluster,
+evaluate, report.
+
+Every stage is a pure function of its inputs; all randomness enters through
+the single seed in the config, so a fixed config yields a byte-identical
+report apart from the timing block.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+from .clustering import Dataset, cluster_pipeline
+from .errors import ConfigError, EmptyMatrixError, GeneClusterError, PipelineError
+from .evaluation import silhouette_scores
+from .matrix import (
+    GENES_AS_ROWS,
+    ORIENTATIONS,
+    NormalizationParams,
+    discretize,
+    drop_incomplete_genes,
+    matrix_to_text,
+    min_max_normalize,
+    read_matrix,
+    subset_genes,
+    write_matrix,
+)
+from .roughset import build_table, usqr_reduct
+
+STRATEGIES = ("ecia", "random")
+FORMATS = ("json", "tsv")
+
+
+@dataclass
+class PipelineConfig:
+    input_path: str
+    orientation: str = GENES_AS_ROWS
+    delimiter: str | None = None
+    new_min: float = 0.0
+    new_max: float = 1.0
+    select: bool = True
+    k: int = 7
+    strategy: str = "ecia"
+    seed: int | None = None
+    mode: str = "exact"
+    max_iters: int = 100
+    runs: int = 1
+    output_dir: str | None = None
+    formats: tuple = FORMATS
+
+    def validate(self):
+        if self.orientation not in ORIENTATIONS:
+            raise ConfigError(f"unknown orientation: {self.orientation!r}")
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"unknown strategy: {self.strategy!r}")
+        if self.mode not in ("exact", "shortcut"):
+            raise ConfigError(f"unknown mode: {self.mode!r}")
+        if self.k < 1:
+            raise ConfigError(f"k must be >= 1, got {self.k}")
+        if self.max_iters < 1:
+            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.runs < 1:
+            raise ConfigError(f"runs must be >= 1, got {self.runs}")
+        if not self.new_min < self.new_max:
+            raise ConfigError(
+                f"need new_min < new_max, got [{self.new_min}, {self.new_max}]"
+            )
+        if self.strategy == "random" and self.seed is None:
+            raise ConfigError("the random strategy requires --seed")
+        if self.strategy == "ecia" and self.seed is not None:
+            raise ConfigError("--seed applies only to the random strategy")
+        bad = [f for f in self.formats if f not in FORMATS]
+        if bad or not self.formats:
+            raise ConfigError(f"formats must be a non-empty subset of {FORMATS}")
+
+
+@dataclass
+class ClusterRow:
+    label: str
+    size: int
+    mean_silhouette: float | None
+
+
+@dataclass
+class PipelineReport:
+    shape_before: tuple
+    shape_after: tuple
+    selection_enabled: bool
+    reduct: object  # Reduct or None
+    k: int
+    strategy: str
+    seed: int | None
+    mode: str
+    provenance: str
+    iterations: int
+    converged: bool
+    wcss: float
+    cluster_sizes: tuple
+    clusters: tuple
+    compact_cluster: str | None
+    global_mean_silhouette: float | None
+    timings: dict
+
+    def to_dict(self, include_timings=True):
+        selection = {"enabled": self.selection_enabled}
+        if self.reduct is not None:
+            rd = self.reduct.to_dict(include_candidate_scores=False)
+            selection["selected_gene_ids"] = rd["selected"]
+            selection["rounds"] = rd["rounds"]
+            selection["final_mean_dependency"] = rd["final_mean_dependency"]
+        out = {
+            "shape_before": _shape_dict(self.shape_before),
+            "shape_after": _shape_dict(self.shape_after),
+            "selection": selection,
+            "clustering": {
+                "k": self.k,
+                "strategy": self.strategy,
+                "seed": self.seed,
+                "mode": self.mode,
+                "provenance": self.provenance,
+                "iterations": self.iterations,
+                "converged": self.converged,
+                "wcss": self.wcss,
+                "cluster_sizes": list(self.cluster_sizes),
+            },
+            "clusters": [
+                {"cluster": c.label, "size": c.size, "mean_silhouette": c.mean_silhouette}
+                for c in self.clusters
+            ],
+            "compact_cluster": self.compact_cluster,
+            "global_mean_silhouette": self.global_mean_silhouette,
+        }
+        if include_timings:
+            out["timings"] = dict(self.timings)
+        return out
+
+    def to_json(self, include_timings=True):
+        return json.dumps(self.to_dict(include_timings), indent=2, sort_keys=True) + "\n"
+
+    def summary_text(self):
+        lines = [
+            f"input shape: {self.shape_before[0]} genes x {self.shape_before[1]} conditions",
+        ]
+        if self.selection_enabled:
+            dep = self.reduct.final_mean_dependency
+            lines.append(
+                f"selection: kept {self.shape_after[0]} genes"
+                f" (mean dependency {dep.numerator}/{dep.denominator})"
+            )
+        else:
+            lines.append("selection: off")
+        lines.append(
+            f"clustering: k={self.k} strategy={self.strategy} mode={self.mode}"
+            f" iterations={self.iterations}"
+            f" converged={'yes' if self.converged else 'no'} wcss={self.wcss:.6f}"
+        )
+        lines.append("cluster\tsize\tmean_silhouette")
+        for c in self.clusters:
+            mean = "" if c.mean_silhouette is None else f"{c.mean_silhouette:.6f}"
+            lines.append(f"{c.label}\t{c.size}\t{mean}")
+        if self.compact_cluster is not None:
+            lines.append(f"compact cluster: {self.compact_cluster}")
+            lines.append(f"global mean silhouette: {self.global_mean_silhouette:.6f}")
+        else:
+            lines.append("silhouette: not defined (fewer than two non-empty clusters)")
+        return "\n".join(lines)
+
+
+def _shape_dict(shape):
+    return {"genes": shape[0], "conditions": shape[1]}
+
+
+def cluster_label(index):
+    return f"C{index + 1}"
+
+
+def _run_stage(name, timings, fn, *args, **kwargs):
+    start = time.perf_counter()
+    try:
+        result = fn(*args, **kwargs)
+    except (GeneClusterError, OSError) as err:
+        err.stage = name
+        raise
+    except Exception as err:
+        raise PipelineError(name, err) from err
+    timings[name] = time.perf_counter() - start
+    return result
+
+
+def run_pipeline(config):
+    """Run every stage, write the requested artifacts, print a summary."""
+    config.validate()
+    timings = {}
+    raw = _run_stage(
+        "parse", timings, read_matrix, config.input_path, config.orientation,
+        config.delimiter,
+    )
+    complete = _run_stage("filter", timings, drop_incomplete_genes, raw)
+    params = NormalizationParams(config.new_min, config.new_max)
+    normalized = _run_stage("normalize", timings, min_max_normalize, complete, params)
+    disc = _run_stage("discretize", timings, discretize, normalized)
+
+    if config.select:
+        def _select():
+            reduct = usqr_reduct(build_table(disc))
+            if not reduct.selected:
+                raise EmptyMatrixError(
+                    "gene selection kept no genes (no informative attribute)"
+                )
+            return reduct, subset_genes(normalized, reduct.selected)
+
+        reduct, selected = _run_stage("select", timings, _select)
+    else:
+        reduct, selected = None, normalized
+        timings["select"] = 0.0
+
+    if config.k > selected.n_genes:
+        raise ConfigError(
+            f"k={config.k} exceeds the {selected.n_genes} genes available after selection"
+        )
+    assignment = _run_stage(
+        "cluster", timings, cluster_pipeline, selected, config.k, config.strategy,
+        config.seed, config.mode, config.max_iters,
+    )
+
+    def _evaluate():
+        if int((assignment.sizes > 0).sum()) < 2:
+            return None
+        return silhouette_scores(Dataset.from_matrix(selected), assignment)
+
+    sil = _run_stage("evaluate", timings, _evaluate)
+
+    mean_of = {}
+    if sil is not None:
+        mean_of = {c: mean for c, _, mean in sil.per_cluster}
+    clusters = tuple(
+        ClusterRow(cluster_label(j), int(assignment.sizes[j]), mean_of.get(j))
+        for j in range(config.k)
+    )
+    report = PipelineReport(
+        shape_before=raw.shape,
+        shape_after=selected.shape,
+        selection_enabled=config.select,
+        reduct=reduct,
+        k=config.k,
+        strategy=config.strategy,
+        seed=config.seed,
+        mode=config.mode,
+        provenance=assignment.centroids.provenance,
+        iterations=assignment.iterations,
+        converged=assignment.converged,
+        wcss=assignment.wcss,
+        cluster_sizes=tuple(int(s) for s in assignment.sizes),
+        clusters=clusters,
+        compact_cluster=None if sil is None else cluster_label(sil.compact_cluster),
+        global_mean_silhouette=None if sil is None else sil.global_mean,
+        timings=timings,
+    )
+    if config.output_dir is not None:
+        _run_stage(
+            "write", timings, _write_artifacts,
+            config, report, normalized, disc, selected, reduct, assignment, sil,
+        )
+    print(report.summary_text())
+    return report
+
+
+def _assignment_dict(selected, assignment):
+    return {
+        "point_ids": list(selected.gene_ids),
+        "labels": [int(v) for v in assignment.labels],
+        "nearest_dist": [float(v) for v in assignment.nearest_dist],
+        "centroids": [[float(v) for v in row] for row in assignment.centroids.vectors],
+        "provenance": assignment.centroids.provenance,
+        "iterations": assignment.iterations,
+        "converged": assignment.converged,
+        "wcss": assignment.wcss,
+        "cluster_sizes": [int(s) for s in assignment.sizes],
+    }
+
+
+def _write_json(path, payload):
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_artifacts(config, report, normalized, disc, selected, reduct, assignment, sil):
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    want_json = "json" in config.formats
+    want_tsv = "tsv" in config.formats
+    write_matrix(normalized, out / "normalized.tsv")
+    write_matrix(disc, out / "discretized.tsv")
+    if config.select:
+        write_matrix(selected, out / "selected.tsv")
+        if want_json:
+            _write_json(out / "reduct.json", reduct.to_dict())
+    if want_json:
+        _write_json(out / "assignment.json", _assignment_dict(selected, assignment))
+        if sil is not None:
+            _write_json(out / "silhouette.json", sil.to_dict())
+        (out / "report.json").write_text(report.to_json())
+    if want_tsv:
+        rows = ["gene\tcluster\tnearest_dist"]
+        for gid, lab, nd in zip(selected.gene_ids, assignment.labels, assignment.nearest_dist):
+            rows.append(f"{gid}\t{cluster_label(int(lab))}\t{float(nd)!r}")
+        (out / "assignment.tsv").write_text("\n".join(rows) + "\n")
+        if sil is not None:
+            rows = ["cluster\tsize\tmean_silhouette"]
+            for c, size, mean in sil.per_cluster:
+                rows.append(f"{cluster_label(c)}\t{size}\t{mean!r}")
+            (out / "silhouette.tsv").write_text("\n".join(rows) + "\n")
+        rows = ["cluster\tsize\tmean_silhouette"]
+        for c in report.clusters:
+            mean = "" if c.mean_silhouette is None else repr(c.mean_silhouette)
+            rows.append(f"{c.label}\t{c.size}\t{mean}")
+        (out / "report.tsv").write_text("\n".join(rows) + "\n")
+
+
+@dataclass
+class MultiRunResult:
+    reports: tuple
+    identical: bool | None  # meaningful for the deterministic strategy only
+    summary: dict
+
+
+def _variance(values):
+    mean = sum(values) / len(values)
+    return sum((v - mean) ** 2 for v in values) / len(values)
+
+
+def run_many(config):
+    """Execute config.runs isolated pipeline runs.
+
+    With the deterministic strategy the runs must agree byte for byte
+    (timings aside) and a disagreement is reported as a pipeline failure.
+    With the random strategy run i uses seed + i and the spread of wcss and
+    mean silhouette across runs is summarized instead.
+    """
+    config.validate()
+    reports = []
+    for i in range(config.runs):
+        run_cfg = dataclasses.replace(
+            config,
+            output_dir=config.output_dir if i == 0 else None,
+            seed=config.seed + i if config.strategy == "random" else config.seed,
+        )
+        reports.append(run_pipeline(run_cfg))
+    summary = {
+        "runs": config.runs,
+        "strategy": config.strategy,
+        "wcss": [r.wcss for r in reports],
+        "global_mean_silhouette": [r.global_mean_silhouette for r in reports],
+    }
+    identical = None
+    if config.strategy == "ecia":
+        blobs = {r.to_json(include_timings=False) for r in reports}
+        identical = len(blobs) == 1
+        summary["identical"] = identical
+        if not identical:
+            raise PipelineError(
+                "runs", AssertionError("deterministic runs produced differing reports")
+            )
+    else:
+        summary["seeds"] = [config.seed + i for i in range(config.runs)]
+        summary["wcss_variance"] = _variance(summary["wcss"])
+        sils = [v for v in summary["global_mean_silhouette"] if v is not None]
+        summary["global_mean_silhouette_variance"] = (
+            _variance(sils) if len(sils) == config.runs else None
+        )
+    return MultiRunResult(tuple(reports), identical, summary)
