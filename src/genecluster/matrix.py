@@ -187,6 +187,14 @@ def parse_matrix(text, orientation=GENES_AS_ROWS, delimiter="\t"):
     if not data:
         raise ParseError("no data rows after the header")
     values = np.array(data, dtype=float)
+    infinite = np.argwhere(np.isinf(values))
+    if len(infinite):
+        r, c = infinite[0]
+        line_no, row = rows[1 + r]
+        raise ParseError(
+            f"column {col_ids[c]!r}: not a finite number: {row[1 + c].strip()!r}",
+            line=line_no,
+        )
     if orientation == GENES_AS_ROWS:
         return ExpressionMatrix(tuple(row_ids), col_ids, values)
     return ExpressionMatrix(col_ids, tuple(row_ids), values.T)

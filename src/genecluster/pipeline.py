@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .clustering import Dataset, cluster_pipeline
-from .errors import ConfigError, EmptyMatrixError, GeneClusterError, PipelineError
+from .errors import ConfigError, GeneClusterError, PipelineError
 from .evaluation import silhouette_scores
 from .matrix import (
     GENES_AS_ROWS,
@@ -29,7 +29,7 @@ from .matrix import (
     subset_genes,
     write_matrix,
 )
-from .roughset import build_table, usqr_reduct
+from .roughset import build_table, kept_genes, usqr_reduct
 
 STRATEGIES = ("ecia", "random")
 FORMATS = ("json", "tsv")
@@ -205,13 +205,11 @@ def run_pipeline(config):
     disc = _run_stage("discretize", timings, discretize, normalized)
 
     if config.select:
+        # called through this module's names: perfbench/spans.py times each of
+        # build_table, usqr_reduct and subset_genes by rebinding them here
         def _select():
             reduct = usqr_reduct(build_table(disc))
-            if not reduct.selected:
-                raise EmptyMatrixError(
-                    "gene selection kept no genes (no informative attribute)"
-                )
-            return reduct, subset_genes(normalized, reduct.selected)
+            return reduct, subset_genes(normalized, kept_genes(reduct))
 
         reduct, selected = _run_stage("select", timings, _select)
     else:

@@ -16,9 +16,15 @@ from .errors import EmptyMatrixError, ValidationError
 from .matrix import ExpressionMatrix, subset_genes
 
 
-def _encode_column(col):
-    _, inv = np.unique(col, return_inverse=True)
-    return inv.astype(np.int64)
+def _encode_columns(values):
+    """Dense rank of every entry within its column: equal values share a code."""
+    order = np.argsort(values, axis=0)
+    ranked = np.take_along_axis(values, order, axis=0)
+    starts = np.ones(values.shape, dtype=bool)
+    starts[1:] = ranked[1:] != ranked[:-1]
+    codes = np.empty(values.shape, dtype=np.int64)
+    np.put_along_axis(codes, order, np.cumsum(starts, axis=0) - 1, axis=0)
+    return codes
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,9 +54,7 @@ class InformationTable:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         # integer recoding per attribute; all set operations run on these
-        codes = np.empty(values.shape, dtype=np.int64)
-        for j in range(values.shape[1]):
-            codes[:, j] = _encode_column(values[:, j])
+        codes = _encode_columns(values)
         codes.setflags(write=False)
         object.__setattr__(self, "_codes", codes)
         object.__setattr__(
@@ -100,10 +104,11 @@ def _refine(group_ids, col_codes):
 
 
 def _group_ids(table, attr_positions):
-    g = np.zeros(table.n_objects, dtype=np.int64)
-    for j in attr_positions:
-        g = _refine(g, table._codes[:, j])
-    return g
+    """Dense block ids of the partition by the given attribute positions."""
+    _, inv = np.unique(
+        table._codes[:, list(attr_positions)], axis=0, return_inverse=True
+    )
+    return inv.reshape(-1)
 
 
 def _pure_counts(table, group_ids):
@@ -207,6 +212,51 @@ def _fraction_dict(f):
     return {"ratio": f"{f.numerator}/{f.denominator}", "value": float(f)}
 
 
+# Candidates scored per matrix product in a reduct round.  It bounds the
+# round's temporaries to O(_CANDIDATE_TILE * attributes) floats, never
+# attributes**2, whatever the table width.
+_CANDIDATE_TILE = 64
+
+
+def _round_totals(codes, group, candidates):
+    """Pure total of the partition refined by each candidate attribute.
+
+    The pure total of a partition is the number of (object, attribute) pairs
+    whose block is constant in that attribute; over n_objects * n_attributes
+    it is the mean dependency.  group holds dense block ids and candidates
+    attribute positions; entry i refines group by candidates[i].
+
+    Refining a block by j splits it into sub-blocks of equal j values, and
+    every member of a sub-block is pure in the same attributes: those in
+    which no member differs from the first one.  For each member o of a
+    block, take the candidates for which o is the first of its sub-block;
+    one product of o's agree mask (members x those candidates) with its
+    differ mask (members x attributes) counts the members agreeing on j and
+    differing on y for every (j, y) at once, and the zero entries are the
+    pure attributes of the sub-block.  The counts are integers no larger
+    than the block, exact in float32 for blocks under 2**24 objects.  A
+    singleton block is pure in every attribute whatever the candidate.
+    """
+    n_attr = codes.shape[1]
+    block_size = np.bincount(group)
+    totals = np.full(len(candidates), n_attr * int((block_size == 1).sum()), np.int64)
+    for b in np.flatnonzero(block_size > 1):
+        members = codes[group == b]
+        for i, row in enumerate(members):
+            agree = members == row
+            firsts = np.flatnonzero(~agree[:i, candidates].any(axis=0))
+            agree_cand = agree[:, candidates[firsts]]
+            sub_size = agree_cand.sum(axis=0)
+            agree_cand = agree_cand.astype(np.float32)
+            differ = (~agree).astype(np.float32)
+            for lo in range(0, len(firsts), _CANDIDATE_TILE):
+                tile = slice(lo, lo + _CANDIDATE_TILE)
+                violations = agree_cand[:, tile].T @ differ
+                pure = np.count_nonzero(violations == 0, axis=1)
+                totals[firsts[tile]] += sub_size[tile] * pure
+    return totals
+
+
 def usqr_reduct(table):
     """Greedy forward attribute selection by mean dependency.
 
@@ -217,40 +267,55 @@ def usqr_reduct(table):
     flagged as forced, so the search always progresses.  The search stops
     as soon as the mean dependency equals that of the full attribute set,
     which takes at most one round per attribute.
+
+    Every mean dependency has the denominator n_objects * n_attributes, so
+    the search compares integer pure totals and makes exact fractions only
+    for the returned trace.  Each round scores all remaining candidates in
+    one pass of _round_totals.  For C objects, G attributes and at most V
+    distinct values per attribute (V = 3 for a discretized matrix) a round
+    costs O(C * V * G**2) arithmetic in O(B * G + _CANDIDATE_TILE * G)
+    memory, B being the largest block of the current partition.
     """
-    n_attr = table.n_attributes
-    target = _mean_dependency_from_groups(table, _group_ids(table, range(n_attr)))
-    group = np.zeros(table.n_objects, dtype=np.int64)
-    current = _mean_dependency_from_groups(table, group)
-    selected = []
-    remaining = list(range(n_attr))
+    codes = table._codes
+    n_obj, n_attr = codes.shape
+    target = int(_pure_counts(table, _group_ids(table, range(n_attr))).sum())
+    group = np.zeros(n_obj, dtype=np.int64)
+    current = int(_pure_counts(table, group).sum())
+    denominator = n_obj * n_attr
+    remaining = np.arange(n_attr)
     trace = []
     while current != target:
-        best_pos = None
-        best_group = None
-        best_score = None
-        scores = []
-        for j in remaining:
-            g = _refine(group, table._codes[:, j])
-            score = _mean_dependency_from_groups(table, g)
-            scores.append((table.attribute_ids[j], score))
-            if best_score is None or score > best_score:
-                best_pos, best_group, best_score = j, g, score
-        forced = best_score == current
-        selected.append(table.attribute_ids[best_pos])
-        remaining.remove(best_pos)
-        group = best_group
-        current = best_score
-        trace.append(
-            ReductRound(table.attribute_ids[best_pos], current, forced, tuple(scores))
+        totals = _round_totals(codes, group, remaining)
+        best = int(np.argmax(totals))  # the first maximum: earliest in table order
+        j = int(remaining[best])
+        scores = tuple(
+            (table.attribute_ids[c], Fraction(t, denominator))
+            for c, t in zip(remaining.tolist(), totals.tolist())
         )
-    return Reduct(tuple(selected), tuple(trace), current)
+        forced = int(totals[best]) == current
+        current = int(totals[best])
+        group = _refine(group, codes[:, j])
+        remaining = np.delete(remaining, best)
+        trace.append(
+            ReductRound(
+                table.attribute_ids[j], Fraction(current, denominator), forced, scores
+            )
+        )
+    selected = tuple(r.attribute for r in trace)
+    return Reduct(selected, tuple(trace), Fraction(current, denominator))
 
 
 def build_table(d):
     """Information table of a discretized matrix: conditions become the objects
     and genes the attributes (the matrix transposed)."""
     return InformationTable(d.condition_ids, d.gene_ids, d.values.T)
+
+
+def kept_genes(reduct):
+    """Gene ids a reduct keeps; EmptyMatrixError when it keeps none."""
+    if not reduct.selected:
+        raise EmptyMatrixError("gene selection kept no genes (no informative attribute)")
+    return reduct.selected
 
 
 def select_genes(m, d):
@@ -261,7 +326,4 @@ def select_genes(m, d):
     """
     if m.gene_ids != d.gene_ids or m.condition_ids != d.condition_ids:
         raise ValidationError("matrix and discretized matrix must share ids")
-    reduct = usqr_reduct(build_table(d))
-    if not reduct.selected:
-        raise EmptyMatrixError("gene selection kept no genes (no informative attribute)")
-    return subset_genes(m, reduct.selected)
+    return subset_genes(m, kept_genes(usqr_reduct(build_table(d))))

@@ -10,6 +10,13 @@ from fractions import Fraction
 import numpy as np
 
 from genecluster import ExpressionMatrix
+from genecluster.roughset import (
+    Reduct,
+    ReductRound,
+    _group_ids,
+    _mean_dependency_from_groups,
+    _refine,
+)
 
 
 def bump_matrix(genes=300, conditions=17):
@@ -108,3 +115,46 @@ def table_ids(values):
         tuple(f"o{i + 1}" for i in range(n_obj)),
         tuple(f"a{j + 1}" for j in range(n_attr)),
     )
+
+
+def oracle_usqr_reduct(table):
+    """Greedy forward attribute selection by mean dependency, one candidate at a time.
+
+    This is the per-candidate loop the library's round scorer replaced; it
+    refines the partition by each candidate and sums its pure counts.
+
+    Starting from the empty set, each round adds the candidate attribute
+    maximizing the mean dependency of all attributes on the enlarged set;
+    ties go to the earliest attribute in table order.  When no candidate
+    improves the mean (a plateau) the best tied candidate is still added,
+    flagged as forced, so the search always progresses.  The search stops
+    as soon as the mean dependency equals that of the full attribute set,
+    which takes at most one round per attribute.
+    """
+    n_attr = table.n_attributes
+    target = _mean_dependency_from_groups(table, _group_ids(table, range(n_attr)))
+    group = np.zeros(table.n_objects, dtype=np.int64)
+    current = _mean_dependency_from_groups(table, group)
+    selected = []
+    remaining = list(range(n_attr))
+    trace = []
+    while current != target:
+        best_pos = None
+        best_group = None
+        best_score = None
+        scores = []
+        for j in remaining:
+            g = _refine(group, table._codes[:, j])
+            score = _mean_dependency_from_groups(table, g)
+            scores.append((table.attribute_ids[j], score))
+            if best_score is None or score > best_score:
+                best_pos, best_group, best_score = j, g, score
+        forced = best_score == current
+        selected.append(table.attribute_ids[best_pos])
+        remaining.remove(best_pos)
+        group = best_group
+        current = best_score
+        trace.append(
+            ReductRound(table.attribute_ids[best_pos], current, forced, tuple(scores))
+        )
+    return Reduct(tuple(selected), tuple(trace), current)

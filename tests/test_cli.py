@@ -107,6 +107,16 @@ def test_run_malformed_cell_is_input_error(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_run_infinite_cell_is_input_error(tmp_path, capsys):
+    path = tmp_path / "inf.tsv"
+    path.write_text("id\tt1\tt2\ng1\t1.0\t2.0\ng2\t0.5\tInfinity\n")
+    code = main(["run", "--input", str(path), "--no-select", "--k", "1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "stage 'parse':" in err
+    assert "line 3: column 't2': not a finite number: 'Infinity'" in err
+
+
 def test_unexpected_failure_is_stage_error(generated, monkeypatch, capsys):
     matrix, _ = generated
 

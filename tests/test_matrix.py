@@ -81,6 +81,22 @@ def test_parse_non_numeric_reports_position():
     assert "bogus" in str(err.value)
 
 
+@pytest.mark.parametrize("token", ["inf", "-inf", "Infinity", "-INF", "1e999"])
+def test_parse_rejects_non_finite_cell(token):
+    text = f"id\tt1\tt2\ng1\t1\t2\ng2\t3\t{token}\ng3\tinf\t5\n"
+    with pytest.raises(ParseError) as err:
+        parse_matrix(text)
+    assert err.value.line == 3
+    assert "'t2'" in str(err.value)
+    assert repr(token) in str(err.value)
+
+
+def test_parse_rejects_non_finite_cell_in_genes_as_columns():
+    text = "id\tg1\tg2\nt1\t1\t2\nt2\t-inf\t4\n"
+    with pytest.raises(ParseError, match="line 3: column 'g1'"):
+        parse_matrix(text, orientation="genes-as-columns")
+
+
 def test_parse_duplicate_gene_id():
     with pytest.raises(ValidationError):
         parse_matrix("id\tt1\ng1\t1\ng1\t2\n")

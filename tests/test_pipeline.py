@@ -223,6 +223,15 @@ def test_all_incomplete_fails_in_filter_stage(tmp_path):
     assert exc.value.stage == "filter"
 
 
+def test_no_informative_gene_fails_in_select_stage(tmp_path):
+    path = tmp_path / "flat.tsv"
+    path.write_text("id\tt1\tt2\ng1\t1.0\t1.0\ng2\t1.0\t1.0\n")
+    with pytest.warns(UserWarning, match="constant condition"):
+        with pytest.raises(EmptyMatrixError, match="kept no genes") as exc:
+            run_pipeline(PipelineConfig(str(path), k=1))
+    assert exc.value.stage == "select"
+
+
 def test_unexpected_error_becomes_pipeline_error(small_file, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("disk on fire")

@@ -6,12 +6,15 @@ import pytest
 
 from genecluster import (
     DiscretizedMatrix,
+    EmptyMatrixError,
     ExpressionMatrix,
     InformationTable,
     ValidationError,
     build_table,
     dependency,
     discretize,
+    drop_incomplete_genes,
+    generate_synthetic,
     indiscernibility_partition,
     mean_dependency,
     min_max_normalize,
@@ -19,10 +22,12 @@ from genecluster import (
     select_genes,
     usqr_reduct,
 )
+from genecluster import roughset
 from helpers import (
     oracle_dependency,
     oracle_mean_dependency,
     oracle_positive_region,
+    oracle_usqr_reduct,
     random_table_values,
     table_ids,
 )
@@ -221,6 +226,70 @@ def test_usqr_deterministic():
     assert r1 == r2
 
 
+def _oracle_case_tables(count, seed):
+    """Random tables, many with planted duplicate or constant columns.
+
+    They run from a single object up to 16, with one to four categories, so
+    singleton blocks, ties between candidates and wide blocks all occur.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        values = random_table_values(
+            rng, max_objects=16, max_attributes=8, categories=int(rng.integers(1, 5))
+        )
+        values = values[: int(rng.integers(1, len(values) + 1))]
+        n_attr = values.shape[1]
+        if rng.random() < 0.3:
+            values = np.hstack([values, values[:, rng.integers(0, n_attr, size=2)]])
+        if rng.random() < 0.3:
+            values = np.insert(values, int(rng.integers(0, n_attr + 1)), 5, axis=1)
+        yield make_table(values)
+
+
+def test_usqr_matches_per_candidate_oracle_on_random_tables():
+    sizes = set()
+    for t in _oracle_case_tables(400, seed=110):
+        assert usqr_reduct(t) == oracle_usqr_reduct(t)
+        sizes.add(t.n_objects)
+    assert 1 in sizes and max(sizes) > 8
+
+
+def _synthetic_table(genes, conditions, seed):
+    m, _ = generate_synthetic(genes, conditions, 7, noise=0.3, seed=seed)
+    return build_table(discretize(min_max_normalize(drop_incomplete_genes(m))))
+
+
+def test_usqr_matches_per_candidate_oracle_on_synthetic_800x20():
+    t = _synthetic_table(800, 20, seed=1)
+    got, want = usqr_reduct(t), oracle_usqr_reduct(t)
+    assert got == want
+    assert got.to_dict() == want.to_dict()
+
+
+@pytest.mark.parametrize("tile", [1, 3])
+def test_usqr_independent_of_candidate_tile(monkeypatch, tile):
+    tables = [_synthetic_table(90, 12, seed=2), *_oracle_case_tables(40, seed=111)]
+    want = [usqr_reduct(t) for t in tables]
+    monkeypatch.setattr(roughset, "_CANDIDATE_TILE", tile)
+    assert [usqr_reduct(t) for t in tables] == want
+
+
+def test_table_codes_rank_each_column():
+    rng = np.random.default_rng(112)
+    tables = [
+        rng.integers(-1, 2, size=(9, 7)),
+        rng.normal(size=(6, 5)).round(1),
+        np.array([[0.0, -0.0], [-0.0, 1.5], [2.0, 0.0]]),
+        np.array([["b", "a"], ["a", "a"], ["c", "b"]]),
+        np.zeros((1, 3)),
+    ]
+    for values in tables:
+        t = make_table(values)
+        for j in range(values.shape[1]):
+            _, want = np.unique(values[:, j], return_inverse=True)
+            assert t._codes[:, j].tolist() == want.tolist()
+
+
 def test_usqr_trace_serialization():
     rng = np.random.default_rng(106)
     t = make_table(rng.integers(0, 3, size=(6, 4)))
@@ -281,6 +350,13 @@ def test_select_genes_duplicates_drop_against_exhaustive_oracle():
     assert minimal <= out.n_genes <= 10
     t = build_table(disc)
     assert mean_dependency(t, out.gene_ids) == full
+
+
+def test_select_genes_without_informative_gene_is_empty_error():
+    with pytest.warns(UserWarning, match="constant condition"):
+        norm, disc = _matrix_pair(np.ones((4, 3)))
+    with pytest.raises(EmptyMatrixError, match="kept no genes"):
+        select_genes(norm, disc)
 
 
 def test_select_genes_id_mismatch():
