@@ -27,12 +27,13 @@ from .errors import (
 from .evaluation import silhouette_scores
 from .matrix import GENES_AS_ROWS, ORIENTATIONS, read_matrix, write_matrix
 from .pipeline import (
-    FORMATS,
     PipelineConfig,
     STRATEGIES,
     cluster_label,
+    parse_formats,
     run_many,
     run_pipeline,
+    write_silhouette,
 )
 from .synthetic import generate_synthetic
 
@@ -122,7 +123,7 @@ def cmd_run(args):
         max_iters=s["max_iters"],
         runs=s["runs"],
         output_dir=s["out"],
-        formats=tuple(f.strip() for f in s["format"].split(",") if f.strip()),
+        formats=parse_formats(s["format"]),
     )
     if config.runs == 1:
         run_pipeline(config)
@@ -197,23 +198,10 @@ def cmd_evaluate(args):
     print(f"compact cluster: {cluster_label(report.compact_cluster)}")
     print(f"global mean silhouette: {report.global_mean:.6f}")
     if args.out is not None:
+        formats = parse_formats(args.format)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
-        bad = [f for f in formats if f not in FORMATS]
-        if bad or not formats:
-            raise ConfigError(f"formats must be a non-empty subset of {FORMATS}")
-        if "json" in formats:
-            (out / "silhouette.json").write_text(
-                json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-            )
-        if "tsv" in formats:
-            rows = ["cluster\tsize\tmean_silhouette"]
-            rows += [
-                f"{cluster_label(c)}\t{size}\t{mean!r}"
-                for c, size, mean in report.per_cluster
-            ]
-            (out / "silhouette.tsv").write_text("\n".join(rows) + "\n")
+        write_silhouette(out, report, formats)
     return 0
 
 

@@ -162,11 +162,38 @@ def ecia_initialize(d, k):
     return Centroids(np.array(centers), "ecia")
 
 
+# Byte budget of one block of distance temporaries in block_distances (the
+# K-Means assignment and the silhouette); tests patch it.
+_BLOCK_BYTES = 8 * 2**20
+
+
+def block_distances(points, others):
+    """Yield (rows, dist) over row blocks of points, where dist[i, j] is the
+    Euclidean distance from points[rows][i] to others[j].
+
+    Each block's difference array and distances take at most _BLOCK_BYTES
+    (a block holds one row even when that row alone exceeds it).  A
+    distance is the square root of the sum of one contiguous row of squared
+    differences; numpy sums such a row the same way in any block shape, so
+    no distance depends on the block size.
+    """
+    row_bytes = len(others) * (points.shape[1] + 1) * 8
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    for lo in range(0, len(points), step):
+        rows = slice(lo, lo + step)
+        diff = points[rows, None, :] - others[None, :, :]
+        np.square(diff, out=diff)
+        dist = diff.sum(axis=2)
+        del diff  # not held while the caller works on this block
+        yield rows, np.sqrt(dist, out=dist)
+
+
 def _assign(points, centroids):
-    diff = points[:, None, :] - centroids[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    labels = dist.argmin(axis=1)  # argmin takes the lowest index on ties
-    nearest = dist[np.arange(len(points)), labels]
+    labels = np.empty(len(points), dtype=np.intp)
+    nearest = np.empty(len(points))
+    for rows, dist in block_distances(points, centroids):
+        labels[rows] = dist.argmin(axis=1)  # argmin takes the lowest index on ties
+        nearest[rows] = dist.min(axis=1)
     return labels, nearest
 
 

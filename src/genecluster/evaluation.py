@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clustering import block_distances
 from .errors import ValidationError
 
 
@@ -37,8 +38,9 @@ class SilhouetteReport:
 
 
 def pairwise_distances(points):
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    """Full n x n distance matrix, built in row blocks (block_distances)."""
+    points = np.asarray(points, dtype=float)
+    return np.concatenate([dist for _, dist in block_distances(points, points)])
 
 
 def silhouette_scores(d, a):
@@ -46,39 +48,50 @@ def silhouette_scores(d, a):
 
     Requires at least two non-empty clusters, otherwise no between-cluster
     distance exists and the score is undefined.
+
+    Costs O(n**2 * d) arithmetic.  Distances come in row blocks from
+    block_distances, so memory stays within its byte budget plus O(n * (d +
+    k)); no n x n matrix is formed.  A point's distance sum to a cluster
+    adds the members one at a time in ascending point order (a sequential
+    np.add.accumulate over the points sorted stably by label), which fixes
+    every score's bits whatever the block size.
     """
     labels = a.labels
     if len(labels) != d.n_points:
         raise ValidationError("assignment does not label every point")
     k = a.k
-    members = [np.flatnonzero(labels == j) for j in range(k)]
-    occupied = [j for j in range(k) if len(members[j])]
+    if labels.min() < 0 or labels.max() >= k:
+        raise ValidationError(f"assignment labels must lie in 0..{k - 1}")
+    sizes = np.bincount(labels, minlength=k)
+    occupied = np.flatnonzero(sizes)
     if len(occupied) < 2:
         raise ValueError("silhouette needs at least two non-empty clusters")
-    dist = pairwise_distances(d.points)
+    # each cluster's members, in ascending point order, form one run of `order`
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(sizes)
+    runs = [(ends[j] - sizes[j], ends[j]) for j in occupied]
     n = d.n_points
     # mean distance from every point to every non-empty cluster
-    cluster_mean = np.full((n, len(occupied)), np.inf)
-    for col, j in enumerate(occupied):
-        cluster_mean[:, col] = dist[:, members[j]].mean(axis=1)
-    col_of = {j: col for col, j in enumerate(occupied)}
+    cluster_mean = np.empty((n, len(occupied)))
+    for rows, dist in block_distances(d.points, d.points[order]):
+        for col, (lo, hi) in enumerate(runs):
+            cluster_mean[rows, col] = np.add.accumulate(dist[:, lo:hi], axis=1)[:, -1]
+    cluster_mean /= sizes[occupied]
+    own = (np.arange(n), np.searchsorted(occupied, labels))
+    size = sizes[labels]
+    # own-cluster mean excludes the point itself, so undo the self term
+    with np.errstate(invalid="ignore"):  # 0/0 for a lone point, which scores 0
+        a_mean = cluster_mean[own] * size / (size - 1)
+    cluster_mean[own] = np.inf
+    b_mean = cluster_mean.min(axis=1)
+    denom = np.maximum(a_mean, b_mean)
     scores = np.zeros(n)
-    for i in range(n):
-        own = labels[i]
-        size = len(members[own])
-        if size == 1:
-            continue  # lone point scores 0
-        # own-cluster mean excludes the point itself, so undo the self term
-        a_i = cluster_mean[i, col_of[own]] * size / (size - 1)
-        others = [c for c in range(len(occupied)) if occupied[c] != own]
-        b_i = cluster_mean[i, others].min()
-        denom = max(a_i, b_i)
-        scores[i] = 0.0 if denom == 0 else (b_i - a_i) / denom
+    np.divide(b_mean - a_mean, denom, out=scores, where=(size > 1) & (denom != 0))
     per_point = tuple(
         (pid, int(lab), float(s)) for pid, lab, s in zip(d.point_ids, labels, scores)
     )
     per_cluster = tuple(
-        (j, len(members[j]), float(scores[members[j]].mean())) for j in occupied
+        (int(j), int(sizes[j]), float(scores[labels == j].mean())) for j in occupied
     )
     return SilhouetteReport(
         per_point=per_point,

@@ -73,9 +73,20 @@ class PipelineConfig:
             raise ConfigError("the random strategy requires --seed")
         if self.strategy == "ecia" and self.seed is not None:
             raise ConfigError("--seed applies only to the random strategy")
-        bad = [f for f in self.formats if f not in FORMATS]
-        if bad or not self.formats:
-            raise ConfigError(f"formats must be a non-empty subset of {FORMATS}")
+        _check_formats(self.formats)
+
+
+def _check_formats(formats):
+    bad = [f for f in formats if f not in FORMATS]
+    if bad or not formats:
+        raise ConfigError(f"formats must be a non-empty subset of {FORMATS}")
+
+
+def parse_formats(text):
+    """Artifact formats from a comma list such as "json,tsv"."""
+    formats = tuple(f.strip() for f in text.split(",") if f.strip())
+    _check_formats(formats)
+    return formats
 
 
 @dataclass
@@ -285,6 +296,18 @@ def _write_json(path, payload):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def write_silhouette(out, sil, formats):
+    """Write silhouette.json and/or silhouette.tsv for a report into directory out."""
+    if "json" in formats:
+        _write_json(out / "silhouette.json", sil.to_dict())
+    if "tsv" in formats:
+        rows = ["cluster\tsize\tmean_silhouette"]
+        rows += [
+            f"{cluster_label(c)}\t{size}\t{mean!r}" for c, size, mean in sil.per_cluster
+        ]
+        (out / "silhouette.tsv").write_text("\n".join(rows) + "\n")
+
+
 def _write_artifacts(config, report, normalized, disc, selected, reduct, assignment, sil):
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -298,19 +321,14 @@ def _write_artifacts(config, report, normalized, disc, selected, reduct, assignm
             _write_json(out / "reduct.json", reduct.to_dict())
     if want_json:
         _write_json(out / "assignment.json", _assignment_dict(selected, assignment))
-        if sil is not None:
-            _write_json(out / "silhouette.json", sil.to_dict())
         (out / "report.json").write_text(report.to_json())
+    if sil is not None:
+        write_silhouette(out, sil, config.formats)
     if want_tsv:
         rows = ["gene\tcluster\tnearest_dist"]
         for gid, lab, nd in zip(selected.gene_ids, assignment.labels, assignment.nearest_dist):
             rows.append(f"{gid}\t{cluster_label(int(lab))}\t{float(nd)!r}")
         (out / "assignment.tsv").write_text("\n".join(rows) + "\n")
-        if sil is not None:
-            rows = ["cluster\tsize\tmean_silhouette"]
-            for c, size, mean in sil.per_cluster:
-                rows.append(f"{cluster_label(c)}\t{size}\t{mean!r}")
-            (out / "silhouette.tsv").write_text("\n".join(rows) + "\n")
         rows = ["cluster\tsize\tmean_silhouette"]
         for c in report.clusters:
             mean = "" if c.mean_silhouette is None else repr(c.mean_silhouette)

@@ -10,6 +10,8 @@ from fractions import Fraction
 import numpy as np
 
 from genecluster import ExpressionMatrix
+from genecluster.errors import ValidationError
+from genecluster.evaluation import SilhouetteReport, _argmax_cluster
 from genecluster.roughset import (
     Reduct,
     ReductRound,
@@ -107,6 +109,69 @@ def oracle_silhouette(points, labels):
         denom = max(a, b)
         scores.append(0.0 if denom == 0 else (b - a) / denom)
     return scores
+
+
+def oracle_assign(points, centroids):
+    """Nearest centroid from the full n x k distance array.
+
+    This is the unblocked assignment the library's row-block version
+    replaced; labels and distances must match it bit for bit.
+    """
+    diff = points[:, None, :] - centroids[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    labels = dist.argmin(axis=1)  # argmin takes the lowest index on ties
+    nearest = dist[np.arange(len(points)), labels]
+    return labels, nearest
+
+
+def oracle_silhouette_scores(d, a):
+    """Silhouette report from the full n x n distance matrix.
+
+    This is the unblocked silhouette the library's row-block version
+    replaced: each point's mean distance to a cluster is `.mean(axis=1)` of
+    a column gather of the distance matrix, which numpy adds one member at
+    a time in ascending point order.  Reports must match it bit for bit.
+    """
+    labels = a.labels
+    if len(labels) != d.n_points:
+        raise ValidationError("assignment does not label every point")
+    k = a.k
+    members = [np.flatnonzero(labels == j) for j in range(k)]
+    occupied = [j for j in range(k) if len(members[j])]
+    if len(occupied) < 2:
+        raise ValueError("silhouette needs at least two non-empty clusters")
+    diff = d.points[:, None, :] - d.points[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    n = d.n_points
+    # mean distance from every point to every non-empty cluster
+    cluster_mean = np.full((n, len(occupied)), np.inf)
+    for col, j in enumerate(occupied):
+        cluster_mean[:, col] = dist[:, members[j]].mean(axis=1)
+    col_of = {j: col for col, j in enumerate(occupied)}
+    scores = np.zeros(n)
+    for i in range(n):
+        own = labels[i]
+        size = len(members[own])
+        if size == 1:
+            continue  # lone point scores 0
+        # own-cluster mean excludes the point itself, so undo the self term
+        a_i = cluster_mean[i, col_of[own]] * size / (size - 1)
+        others = [c for c in range(len(occupied)) if occupied[c] != own]
+        b_i = cluster_mean[i, others].min()
+        denom = max(a_i, b_i)
+        scores[i] = 0.0 if denom == 0 else (b_i - a_i) / denom
+    per_point = tuple(
+        (pid, int(lab), float(s)) for pid, lab, s in zip(d.point_ids, labels, scores)
+    )
+    per_cluster = tuple(
+        (j, len(members[j]), float(scores[members[j]].mean())) for j in occupied
+    )
+    return SilhouetteReport(
+        per_point=per_point,
+        per_cluster=per_cluster,
+        global_mean=float(scores.mean()),
+        compact_cluster=_argmax_cluster(per_cluster),
+    )
 
 
 def table_ids(values):

@@ -64,6 +64,8 @@ def test_generate_run_evaluate_round_trip(generated, tmp_path, capsys):
     run_sil = json.loads((rundir / "silhouette.json").read_text())
     eval_sil = json.loads((evaldir / "silhouette.json").read_text())
     assert eval_sil == run_sil
+    for name in ("silhouette.json", "silhouette.tsv"):
+        assert (evaldir / name).read_bytes() == (rundir / name).read_bytes()
 
 
 def test_run_with_selection_on_informative_matrix(tmp_path, capsys):
@@ -281,6 +283,17 @@ def test_evaluate_rejects_malformed_assignment(generated, tmp_path, capsys):
     ])
     assert code == 3
     assert "lacks 'centroids'" in capsys.readouterr().err
+
+    payload = json.loads((rundir / "assignment.json").read_text())
+    payload["labels"][0] = len(payload["centroids"])
+    out_of_range = tmp_path / "out_of_range.json"
+    out_of_range.write_text(json.dumps(payload))
+    code = main([
+        "evaluate", "--data", str(rundir / "normalized.tsv"),
+        "--assignment", str(out_of_range),
+    ])
+    assert code == 3
+    assert "labels must lie in" in capsys.readouterr().err
 
 
 def test_evaluate_json_only_output(generated, tmp_path, capsys):

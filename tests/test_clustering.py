@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,9 @@ from genecluster import (
     kmeans,
     random_initialize,
 )
+from genecluster import clustering
+
+from helpers import oracle_assign
 
 
 def dataset_1d(values):
@@ -294,3 +299,51 @@ def test_cluster_pipeline_random_strategy_runs():
     b = cluster_pipeline(m, 3, strategy="random", seed=77)
     assert np.array_equal(a.labels, b.labels)
     assert a.centroids.provenance == "random(seed=77)"
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, None])
+def test_assign_bit_identical_to_unblocked_oracle(monkeypatch, rows_per_block):
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        n = int(rng.integers(1, 30))
+        m = int(rng.integers(1, 6))
+        k = int(rng.integers(1, 6))
+        points = rng.normal(size=(n, m)).round(int(rng.integers(0, 3)))
+        centroids = rng.normal(size=(k, m)).round(1)
+        centroids[k // 2] = centroids[0]  # duplicate centroids tie on every point
+        if rows_per_block is not None:
+            monkeypatch.setattr(
+                clustering, "_BLOCK_BYTES", rows_per_block * k * (m + 1) * 8
+            )
+        labels, nearest = clustering._assign(points, centroids)
+        want_labels, want_nearest = oracle_assign(points, centroids)
+        assert labels.tolist() == want_labels.tolist()
+        assert nearest.tolist() == want_nearest.tolist()
+
+
+@pytest.mark.parametrize("mode", ["exact", "shortcut"])
+def test_kmeans_independent_of_block_size(monkeypatch, mode):
+    rng = np.random.default_rng(32)
+    d = random_dataset(rng, 75, 5)
+    init = random_initialize(d, 6, seed=4)
+    want = kmeans(d, init, mode=mode)
+    monkeypatch.setattr(clustering, "_BLOCK_BYTES", 1)
+    got = kmeans(d, init, mode=mode)
+    assert got.labels.tolist() == want.labels.tolist()
+    assert got.nearest_dist.tolist() == want.nearest_dist.tolist()
+    assert got.wcss == want.wcss
+    assert got.history == want.history
+
+
+def test_assign_memory_stays_within_block_budget():
+    rng = np.random.default_rng(33)
+    points = rng.normal(size=(2000, 200))
+    centroids = rng.normal(size=(500, 200))
+    # the unblocked n x k x d difference array alone would need 1.6 GB here
+    tracemalloc.start()
+    try:
+        clustering._assign(points, centroids)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert clustering._BLOCK_BYTES / 2 < peak < 2 * clustering._BLOCK_BYTES

@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,14 +8,20 @@ from genecluster import (
     Centroids,
     ClusterAssignment,
     Dataset,
+    NormalizationParams,
     SilhouetteReport,
     ValidationError,
+    cluster_pipeline,
     compact_cluster,
+    drop_incomplete_genes,
+    generate_synthetic,
+    min_max_normalize,
     pairwise_distances,
     silhouette_scores,
 )
+from genecluster import clustering
 
-from helpers import oracle_silhouette
+from helpers import oracle_silhouette, oracle_silhouette_scores
 
 
 def make_dataset(points):
@@ -188,3 +197,110 @@ def test_report_to_dict_round_trip():
     assert [row["cluster"] for row in out["per_cluster"]] == [0, 1]
     assert out["compact_cluster"] == 0
     assert out["global_mean"] == pytest.approx(r.global_mean)
+
+
+def test_pairwise_distances_match_unblocked_formula(monkeypatch):
+    rng = np.random.default_rng(44)
+    pts = rng.normal(size=(9, 3))
+    diff = pts[:, None, :] - pts[None, :, :]
+    want = np.sqrt((diff * diff).sum(axis=2))
+    assert pairwise_distances(pts).tolist() == want.tolist()
+    monkeypatch.setattr(clustering, "_BLOCK_BYTES", 1)
+    assert pairwise_distances(pts).tolist() == want.tolist()
+
+
+def test_labels_outside_cluster_range_rejected():
+    d = make_dataset([0.0, 1.0, 2.0])
+    for labels in ([0, 1, 2], [0, 1, -1]):
+        with pytest.raises(ValidationError):
+            silhouette_scores(d, make_assignment(labels, 2))
+
+
+def assert_same_report(got, want):
+    assert got.per_point == want.per_point
+    assert got.per_cluster == want.per_cluster
+    assert got.global_mean == want.global_mean
+    assert got.compact_cluster == want.compact_cluster
+    # the serialized form also tells -0.0 from 0.0
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+
+def random_case(rng):
+    n = int(rng.integers(2, 40))
+    m = int(rng.integers(1, 8))
+    k = int(rng.integers(2, 6))
+    pts = rng.normal(size=(n, m))
+    if rng.random() < 0.3:
+        pts = pts.round()  # duplicate points and tied distances
+    labels = rng.integers(0, k, size=n)
+    labels[:2] = rng.choice(k, size=2, replace=False)  # two clusters occupied
+    return make_dataset(pts), make_assignment(labels, k)
+
+
+def test_bit_identical_to_unblocked_oracle_on_random_data():
+    rng = np.random.default_rng(45)
+    for _ in range(300):
+        d, a = random_case(rng)
+        assert_same_report(silhouette_scores(d, a), oracle_silhouette_scores(d, a))
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 3])
+def test_bit_identical_for_any_block_size(monkeypatch, rows_per_block):
+    rng = np.random.default_rng(46)
+    for n in (2, 7, 31, 64):  # odd counts leave a last block of a single row
+        m = int(rng.integers(1, 6))
+        d = make_dataset(rng.normal(size=(n, m)).round(1))
+        labels = rng.integers(0, 4, size=n)
+        labels[:2] = [0, 3]
+        a = make_assignment(labels, 4)
+        want = oracle_silhouette_scores(d, a)
+        budget = rows_per_block * n * (m + 1) * 8
+        monkeypatch.setattr(clustering, "_BLOCK_BYTES", budget)
+        blocks = [len(dist) for _, dist in clustering.block_distances(d.points, d.points)]
+        assert max(blocks) == min(rows_per_block, n)
+        assert sum(blocks) == n
+        assert_same_report(silhouette_scores(d, a), want)
+
+
+def test_bit_identical_on_lone_empty_and_duplicate_clusters():
+    # clusters 0 and 1 sit on the same duplicated point (a = b = 0), cluster
+    # 2 is empty and cluster 4 holds a lone point
+    pts = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [5.0, 5.0], [5.0, 5.0], [9.0, 1.0]]
+    d = make_dataset(pts)
+    a = make_assignment([0, 0, 1, 1, 3, 3, 4], 5)
+    got = silhouette_scores(d, a)
+    assert_same_report(got, oracle_silhouette_scores(d, a))
+    scores = [s for _, _, s in got.per_point]
+    assert scores[:4] == [0.0, 0.0, 0.0, 0.0]
+    assert scores[6] == 0.0
+    assert [c for c, _, _ in got.per_cluster] == [0, 1, 3, 4]
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_bit_identical_on_wide_synthetic_input(monkeypatch, budget):
+    m, _ = generate_synthetic(1500, 60, 7, noise=0.3, missing_fraction=0.005, seed=1)
+    m = min_max_normalize(drop_incomplete_genes(m), NormalizationParams(0.0, 1.0))
+    a = cluster_pipeline(m, 7, "random", 1, "shortcut")
+    d = Dataset.from_matrix(m)
+    want = oracle_silhouette_scores(d, a)
+    if budget is not None:
+        monkeypatch.setattr(clustering, "_BLOCK_BYTES", budget)
+    assert_same_report(silhouette_scores(d, a), want)
+
+
+@pytest.mark.parametrize("budget", [None, 4 * 2**20])
+def test_memory_stays_within_block_budget(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(clustering, "_BLOCK_BYTES", budget)
+    rng = np.random.default_rng(47)
+    n, dims, k = 3000, 60, 7
+    d = make_dataset(rng.normal(size=(n, dims)))
+    a = make_assignment(rng.integers(0, k, size=n), k)
+    # the unblocked n x n x d difference array alone would need 8.6 GB here
+    tracemalloc.start()
+    try:
+        silhouette_scores(d, a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert clustering._BLOCK_BYTES / 2 < peak < 2 * clustering._BLOCK_BYTES
