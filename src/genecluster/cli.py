@@ -25,7 +25,13 @@ from .errors import (
     ValidationError,
 )
 from .evaluation import silhouette_scores
-from .matrix import GENES_AS_ROWS, ORIENTATIONS, read_matrix, write_matrix
+from .matrix import (
+    GENES_AS_ROWS,
+    ORIENTATIONS,
+    read_matrix,
+    write_matrix,
+    write_new_file,
+)
 from .pipeline import (
     PipelineConfig,
     STRATEGIES,
@@ -33,6 +39,7 @@ from .pipeline import (
     parse_formats,
     run_many,
     run_pipeline,
+    write_json,
     write_silhouette,
 )
 from .synthetic import generate_synthetic
@@ -136,8 +143,7 @@ def cmd_run(args):
             print(f"wcss per run: {result.summary['wcss']}")
             print(f"wcss variance: {result.summary['wcss_variance']}")
         if config.output_dir is not None:
-            path = Path(config.output_dir) / "runs_summary.json"
-            path.write_text(json.dumps(result.summary, indent=2, sort_keys=True) + "\n")
+            write_json(Path(config.output_dir) / "runs_summary.json", result.summary)
     return 0
 
 
@@ -158,7 +164,7 @@ def cmd_generate(args):
     if args.labels_out is not None:
         rows = ["gene\tcluster"]
         rows += [f"{g}\t{int(c)}" for g, c in zip(matrix.gene_ids, labels)]
-        Path(args.labels_out).write_text("\n".join(rows) + "\n")
+        write_new_file(args.labels_out, "\n".join(rows) + "\n")
     print(
         f"wrote {matrix.n_genes} x {matrix.n_conditions} matrix"
         f" with {args.clusters} planted clusters to {args.out}"

@@ -11,6 +11,7 @@ centroid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,25 +168,42 @@ def ecia_initialize(d, k):
 _BLOCK_BYTES = 8 * 2**20
 
 
-def block_distances(points, others):
+def block_distances(points, others=None):
     """Yield (rows, dist) over row blocks of points, where dist[i, j] is the
     Euclidean distance from points[rows][i] to others[j].
+
+    Without others, the distances are those among points and only the upper
+    triangle is measured: the block of rows [lo, hi) gets the columns
+    points[lo:], so dist[i, j] is the distance from points[lo + i] to
+    points[lo + j].
 
     Each block's difference array and distances take at most _BLOCK_BYTES
     (a block holds one row even when that row alone exceeds it).  A
     distance is the square root of the sum of one contiguous row of squared
     differences; numpy sums such a row the same way in any block shape, so
-    no distance depends on the block size.
+    no distance depends on the block size.  Floating-point subtraction is
+    exactly antisymmetric, so the distance from x to y has the same bits as
+    the distance from y to x.
     """
-    row_bytes = len(others) * (points.shape[1] + 1) * 8
-    step = max(1, _BLOCK_BYTES // row_bytes)
-    for lo in range(0, len(points), step):
-        rows = slice(lo, lo + step)
-        diff = points[rows, None, :] - others[None, :, :]
+    dims = points.shape[1]
+    widest = len(points) if others is None else len(others)
+    # (row, column) pairs per block: as many whole rows of the first, widest
+    # block as fit the budget; narrower blocks take more rows, not more pairs
+    pairs = max(1, _BLOCK_BYTES // (widest * (dims + 1) * 8)) * widest
+    # one difference buffer for every block: arrays of a new size per block
+    # would leave holes in the heap and raise the peak resident memory
+    buf = np.empty(min(pairs, len(points) * widest) * dims)
+    lo = 0
+    while lo < len(points):
+        cols = points[lo:] if others is None else others
+        rows = slice(lo, min(lo + max(1, pairs // len(cols)), len(points)))
+        shape = (rows.stop - lo, len(cols), dims)
+        diff = buf[: math.prod(shape)].reshape(shape)
+        np.subtract(points[rows, None, :], cols[None, :, :], out=diff)
         np.square(diff, out=diff)
         dist = diff.sum(axis=2)
-        del diff  # not held while the caller works on this block
         yield rows, np.sqrt(dist, out=dist)
+        lo = rows.stop
 
 
 def _assign(points, centroids):

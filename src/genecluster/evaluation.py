@@ -49,12 +49,18 @@ def silhouette_scores(d, a):
     Requires at least two non-empty clusters, otherwise no between-cluster
     distance exists and the score is undefined.
 
-    Costs O(n**2 * d) arithmetic.  Distances come in row blocks from
-    block_distances, so memory stays within its byte budget plus O(n * (d +
-    k)); no n x n matrix is formed.  A point's distance sum to a cluster
-    adds the members one at a time in ascending point order (a sequential
-    np.add.accumulate over the points sorted stably by label), which fixes
-    every score's bits whatever the block size.
+    Costs about n**2 * d / 2 arithmetic: the points are sorted stably by
+    label, so each cluster is one run of consecutive points, and each pair
+    of points is measured once, in the upper-triangle row blocks of
+    block_distances (the blocks' diagonal squares are measured both ways).
+    Memory stays within its byte budget plus O(n * (d + k)); no n x n
+    matrix is formed.  Every point carries its running distance sum to each
+    cluster from block to block.  A block's rows finish their own sums from
+    the carry over the block's columns, and the block's rows add into the
+    carry of every later column, one cluster run at a time.  Either way a
+    sum adds the members one at a time in ascending point order (a
+    sequential np.add.accumulate), which fixes every score's bits whatever
+    the block size.
     """
     labels = a.labels
     if len(labels) != d.n_points:
@@ -71,11 +77,24 @@ def silhouette_scores(d, a):
     ends = np.cumsum(sizes)
     runs = [(ends[j] - sizes[j], ends[j]) for j in occupied]
     n = d.n_points
+    # sums[c, i]: distance from the i-th point of `order` to the members of
+    # the c-th non-empty cluster added so far; starting from zero changes no
+    # bits, as 0.0 + x == x for every distance x
+    sums = np.zeros((len(occupied), n))
+    for rows, dist in block_distances(d.points[order]):
+        r0, r1 = rows.start, rows.stop
+        for c, (lo, hi) in enumerate(runs):
+            if hi > r0:  # members from r0 on: this block's columns
+                cols = slice(max(lo, r0) - r0, hi - r0)
+                sums[c, rows] = _carried_sum(sums[c, rows], dist[:, cols], axis=1)
+            if max(lo, r0) < min(hi, r1) and r1 < n:  # members in this block's rows
+                members = slice(max(lo, r0) - r0, min(hi, r1) - r0)
+                sums[c, r1:] = _carried_sum(
+                    sums[c, r1:], dist[members, r1 - r0 :], axis=0
+                )
     # mean distance from every point to every non-empty cluster
     cluster_mean = np.empty((n, len(occupied)))
-    for rows, dist in block_distances(d.points, d.points[order]):
-        for col, (lo, hi) in enumerate(runs):
-            cluster_mean[rows, col] = np.add.accumulate(dist[:, lo:hi], axis=1)[:, -1]
+    cluster_mean[order] = sums.T
     cluster_mean /= sizes[occupied]
     own = (np.arange(n), np.searchsorted(occupied, labels))
     size = sizes[labels]
@@ -99,6 +118,12 @@ def silhouette_scores(d, a):
         global_mean=float(scores.mean()),
         compact_cluster=_argmax_cluster(per_cluster),
     )
+
+
+def _carried_sum(carry, terms, axis):
+    """carry + terms[0] + terms[1] + ... along axis, added one term at a time."""
+    stacked = np.concatenate([np.expand_dims(carry, axis), terms], axis=axis)
+    return np.add.accumulate(stacked, axis=axis, out=stacked).take(-1, axis=axis)
 
 
 def _argmax_cluster(per_cluster):

@@ -28,6 +28,7 @@ from .matrix import (
     read_matrix,
     subset_genes,
     write_matrix,
+    write_new_file,
 )
 from .roughset import build_table, kept_genes, usqr_reduct
 
@@ -292,20 +293,21 @@ def _assignment_dict(selected, assignment):
     }
 
 
-def _write_json(path, payload):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def write_json(path, payload):
+    """Write payload as indented JSON with sorted keys."""
+    write_new_file(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_silhouette(out, sil, formats):
     """Write silhouette.json and/or silhouette.tsv for a report into directory out."""
     if "json" in formats:
-        _write_json(out / "silhouette.json", sil.to_dict())
+        write_json(out / "silhouette.json", sil.to_dict())
     if "tsv" in formats:
         rows = ["cluster\tsize\tmean_silhouette"]
         rows += [
             f"{cluster_label(c)}\t{size}\t{mean!r}" for c, size, mean in sil.per_cluster
         ]
-        (out / "silhouette.tsv").write_text("\n".join(rows) + "\n")
+        write_new_file(out / "silhouette.tsv", "\n".join(rows) + "\n")
 
 
 def _write_artifacts(config, report, normalized, disc, selected, reduct, assignment, sil):
@@ -318,22 +320,22 @@ def _write_artifacts(config, report, normalized, disc, selected, reduct, assignm
     if config.select:
         write_matrix(selected, out / "selected.tsv")
         if want_json:
-            _write_json(out / "reduct.json", reduct.to_dict())
+            write_json(out / "reduct.json", reduct.to_dict())
     if want_json:
-        _write_json(out / "assignment.json", _assignment_dict(selected, assignment))
-        (out / "report.json").write_text(report.to_json())
+        write_json(out / "assignment.json", _assignment_dict(selected, assignment))
+        write_new_file(out / "report.json", report.to_json())
     if sil is not None:
         write_silhouette(out, sil, config.formats)
     if want_tsv:
         rows = ["gene\tcluster\tnearest_dist"]
         for gid, lab, nd in zip(selected.gene_ids, assignment.labels, assignment.nearest_dist):
             rows.append(f"{gid}\t{cluster_label(int(lab))}\t{float(nd)!r}")
-        (out / "assignment.tsv").write_text("\n".join(rows) + "\n")
+        write_new_file(out / "assignment.tsv", "\n".join(rows) + "\n")
         rows = ["cluster\tsize\tmean_silhouette"]
         for c in report.clusters:
             mean = "" if c.mean_silhouette is None else repr(c.mean_silhouette)
             rows.append(f"{c.label}\t{c.size}\t{mean}")
-        (out / "report.tsv").write_text("\n".join(rows) + "\n")
+        write_new_file(out / "report.tsv", "\n".join(rows) + "\n")
 
 
 @dataclass

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +119,23 @@ def test_run_infinite_cell_is_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "stage 'parse':" in err
     assert "line 3: column 't2': not a finite number: 'Infinity'" in err
+
+
+def test_run_overflowing_column_range_is_input_error(tmp_path, capsys):
+    path = tmp_path / "huge.tsv"
+    path.write_text("id\tt1\tt2\ng1\t1e308\t1\ng2\t-1e308\t2\ng3\t0\t3\ng4\t5e307\t4\n")
+    code = main(["run", "--input", str(path), "--no-select", "--k", "2"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "stage 'normalize': range of condition column(s) overflows a float: t1" in err
+
+
+def test_run_empty_gene_id_is_input_error(tmp_path, capsys):
+    path = tmp_path / "blank.tsv"
+    path.write_text("id\tt1\tt2\ng1\t1\t2\n\t3\t4\n")
+    code = main(["run", "--input", str(path), "--no-select", "--k", "1"])
+    assert code == 3
+    assert "stage 'parse': line 3: empty row id" in capsys.readouterr().err
 
 
 def test_unexpected_failure_is_stage_error(generated, monkeypatch, capsys):
@@ -316,9 +335,10 @@ def test_evaluate_json_only_output(generated, tmp_path, capsys):
 
 
 def test_module_help_runs_as_subprocess():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "genecluster", "--help"],
-        capture_output=True, text=True, timeout=60,
+        env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0
     for name in ("run", "generate", "evaluate"):

@@ -1,8 +1,11 @@
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genecluster import (
     Centroids,
@@ -19,7 +22,7 @@ from genecluster import (
     pairwise_distances,
     silhouette_scores,
 )
-from genecluster import clustering
+from genecluster import clustering, evaluation
 
 from helpers import oracle_silhouette, oracle_silhouette_scores
 
@@ -276,12 +279,15 @@ def test_bit_identical_on_lone_empty_and_duplicate_clusters():
     assert [c for c, _, _ in got.per_cluster] == [0, 1, 3, 4]
 
 
-@pytest.mark.parametrize("budget", [None, 1])
-def test_bit_identical_on_wide_synthetic_input(monkeypatch, budget):
+def wide_synthetic_case():
     m, _ = generate_synthetic(1500, 60, 7, noise=0.3, missing_fraction=0.005, seed=1)
     m = min_max_normalize(drop_incomplete_genes(m), NormalizationParams(0.0, 1.0))
-    a = cluster_pipeline(m, 7, "random", 1, "shortcut")
-    d = Dataset.from_matrix(m)
+    return Dataset.from_matrix(m), cluster_pipeline(m, 7, "random", 1, "shortcut")
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_bit_identical_on_wide_synthetic_input(monkeypatch, budget):
+    d, a = wide_synthetic_case()
     want = oracle_silhouette_scores(d, a)
     if budget is not None:
         monkeypatch.setattr(clustering, "_BLOCK_BYTES", budget)
@@ -304,3 +310,62 @@ def test_memory_stays_within_block_budget(monkeypatch, budget):
     finally:
         tracemalloc.stop()
     assert clustering._BLOCK_BYTES / 2 < peak < 2 * clustering._BLOCK_BYTES
+
+
+@st.composite
+def blocked_cases(draw):
+    n = draw(st.integers(2, 40))
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(2, 5))
+    # coarse coordinates give duplicate points and tied distances
+    coords = st.integers(-3, 3).map(lambda v: v / 2) | st.floats(-10, 10)
+    pts = draw(st.lists(st.lists(coords, min_size=m, max_size=m), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    labels[:2] = draw(st.permutations(range(k)))[:2]  # two clusters occupied
+    rows_per_block = draw(st.integers(1, n))
+    return make_dataset(pts), make_assignment(labels, k), rows_per_block
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocked_cases())
+def test_bit_identical_to_oracle_for_any_block_budget(case):
+    d, a, rows_per_block = case
+    want = oracle_silhouette_scores(d, a)
+    # the first block gets rows_per_block rows; later blocks have fewer
+    # columns, so they take more rows and their edges cut cluster runs anywhere
+    budget = rows_per_block * d.n_points * (d.n_dims + 1) * 8
+    with mock.patch.object(clustering, "_BLOCK_BYTES", budget):
+        assert_same_report(silhouette_scores(d, a), want)
+
+
+def test_upper_triangle_blocks_match_full_matrix(monkeypatch):
+    rng = np.random.default_rng(48)
+    pts = rng.normal(size=(23, 4))
+    full = pairwise_distances(pts)
+    assert np.array_equal(full, full.T)  # d(x, y) and d(y, x) share their bits
+    monkeypatch.setattr(clustering, "_BLOCK_BYTES", 3 * 23 * 5 * 8)
+    starts = []
+    for rows, dist in clustering.block_distances(pts):
+        starts.append(rows.start)
+        assert dist.shape == (rows.stop - rows.start, 23 - rows.start)
+        assert dist.size <= 3 * 23  # narrower blocks take more rows, not more pairs
+        assert dist.tolist() == full[rows, rows.start :].tolist()
+    assert starts[:2] == [0, 3] and len(starts) < 23 // 3
+
+
+def test_silhouette_measures_each_pair_once(monkeypatch):
+    d, a = wide_synthetic_case()
+    blocks = []
+
+    def counted(*args):
+        for rows, dist in clustering.block_distances(*args):
+            blocks.append(dist.shape)
+            yield rows, dist
+
+    monkeypatch.setattr(evaluation, "block_distances", counted)
+    silhouette_scores(d, a)
+    n = d.n_points
+    rows_per_block = max(rows for rows, _ in blocks)
+    cells = sum(rows * cols for rows, cols in blocks)
+    # the upper triangle, plus the lower half of each block's diagonal square
+    assert cells <= (n * n + n * rows_per_block) / 2

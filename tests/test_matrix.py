@@ -97,6 +97,28 @@ def test_parse_rejects_non_finite_cell_in_genes_as_columns():
         parse_matrix(text, orientation="genes-as-columns")
 
 
+@pytest.mark.parametrize("row_id", ["", "  "])
+def test_parse_rejects_empty_row_id(row_id):
+    text = f"id\tt1\tt2\ng1\t1\t2\n{row_id}\t1\t2\n"
+    with pytest.raises(ParseError, match="line 3: empty row id"):
+        parse_matrix(text)
+    with pytest.raises(ParseError, match="line 3: empty row id"):
+        parse_matrix(text, orientation="genes-as-columns")
+
+
+@pytest.mark.parametrize("col_id", ["", " "])
+def test_parse_rejects_empty_column_id(col_id):
+    text = f"id\tt1\t{col_id}\ng1\t1\t2\n"
+    with pytest.raises(ParseError, match="line 1: header field 3: empty column id"):
+        parse_matrix(text)
+
+
+def test_parse_allows_empty_corner_label():
+    m = parse_matrix("\tt1\tt2\ng1\t1\t2\n")
+    assert m.gene_ids == ("g1",)
+    assert m.condition_ids == ("t1", "t2")
+
+
 def test_parse_duplicate_gene_id():
     with pytest.raises(ValidationError):
         parse_matrix("id\tt1\ng1\t1\ng1\t2\n")
@@ -225,6 +247,19 @@ def test_normalize_constant_column_warns_and_maps_to_new_min():
         out = min_max_normalize(m, NormalizationParams(0.1, 0.9))
     assert out.values[:, 0].tolist() == [0.1, 0.1]
     assert out.values[:, 1].tolist() == [0.1, 0.9]
+
+
+def test_normalize_rejects_overflowing_column_range():
+    m = ExpressionMatrix(
+        ("g1", "g2", "g3", "g4"),
+        ("t1", "t2"),
+        [[1e308, 1.0], [-1e308, 2.0], [0.0, 3.0], [5e307, 4.0]],
+    )
+    with pytest.raises(ValidationError, match="overflows a float: t1$"):
+        min_max_normalize(m)
+    # a wide range that still fits is normalized as usual
+    fits = ExpressionMatrix(("g1", "g2", "g3"), ("t1",), [[1e308], [0.0], [-5e307]])
+    assert min_max_normalize(fits).values[[0, 2], 0].tolist() == [1.0, 0.0]
 
 
 def test_normalize_rejects_missing():

@@ -118,6 +118,29 @@ def test_artifacts_written(bump_file, tmp_path):
     assert len(sil_tsv) == 1 + 7
 
 
+def test_rerun_into_same_directory_writes_new_files(small_file, tmp_path):
+    def run_into(out, k):
+        run_pipeline(PipelineConfig(small_file, select=False, k=k, output_dir=str(out)))
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def without_timings(artifacts):
+        report = json.loads(artifacts.pop("report.json"))
+        report.pop("timings")
+        return artifacts, report
+
+    out = tmp_path / "out"
+    old = run_into(out, 2)
+    links = tmp_path / "links"
+    links.mkdir()
+    for name in old:
+        (links / name).hardlink_to(out / name)
+    new = run_into(out, 3)
+    # a new file replaced each artifact; the hard links still hold the first run
+    assert {p.name: p.read_bytes() for p in links.iterdir()} == old
+    assert new["assignment.json"] != old["assignment.json"]
+    assert without_timings(new) == without_timings(run_into(tmp_path / "fresh", 3))
+
+
 def test_json_only_formats(bump_file, tmp_path):
     out = tmp_path / "jsonly"
     run_pipeline(PipelineConfig(bump_file, output_dir=str(out), formats=("json",)))
