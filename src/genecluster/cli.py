@@ -12,11 +12,13 @@ Exit codes: 0 success, 2 configuration error, 3 input or parse error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
-from .clustering import Centroids, ClusterAssignment, Dataset
+from .clustering import MODES, STRATEGIES, Centroids, ClusterAssignment, Dataset
 from .errors import (
     ConfigError,
     GeneClusterError,
@@ -25,16 +27,11 @@ from .errors import (
     ValidationError,
 )
 from .evaluation import silhouette_scores
-from .matrix import (
-    GENES_AS_ROWS,
-    ORIENTATIONS,
-    read_matrix,
-    write_matrix,
-    write_new_file,
-)
+from .matrix import GENES_AS_ROWS, ORIENTATIONS, read_matrix, write_matrix, write_new_file
 from .pipeline import (
+    FORMATS,
     PipelineConfig,
-    STRATEGIES,
+    check_delimiter,
     cluster_label,
     parse_formats,
     run_many,
@@ -44,31 +41,31 @@ from .pipeline import (
 )
 from .synthetic import generate_synthetic
 
-RUN_DEFAULTS = {
-    "input": None,
-    "orientation": GENES_AS_ROWS,
-    "delimiter": None,
-    "k": 7,
-    "strategy": "ecia",
-    "seed": None,
-    "mode": "exact",
-    "select": True,
-    "new_min": 0.0,
-    "new_max": 1.0,
-    "max_iters": 100,
-    "runs": 1,
-    "out": None,
-    "format": "json,tsv",
+# run flags and config-file keys whose name differs from their PipelineConfig field
+_KEY_OF_FIELD = {"input_path": "input", "output_dir": "out", "formats": "format"}
+# run flag (dest) and config-file key -> PipelineConfig field
+RUN_KEYS = {
+    _KEY_OF_FIELD.get(f.name, f.name): f.name for f in dataclasses.fields(PipelineConfig)
 }
+# each field's annotated type, Optional[...] unwrapped
+_FIELD_TYPES = {
+    name: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+    for name, hint in typing.get_type_hints(PipelineConfig).items()
+}
+_BOOLS = {"true": True, "on": True, "1": True, "false": False, "off": False, "0": False}
 
-_COERCE = {
-    "k": int,
-    "seed": int,
-    "max_iters": int,
-    "runs": int,
-    "new_min": float,
-    "new_max": float,
-}
+
+def _coerce(key, text, where=""):
+    """A run flag's or config-file key's text, typed as its PipelineConfig field."""
+    kind = _FIELD_TYPES[RUN_KEYS[key]]
+    try:
+        if kind is bool:
+            return _BOOLS[text.lower()]
+        if kind is tuple:
+            return parse_formats(text)
+        return kind(text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{where}bad value for {key}: {text!r}") from None
 
 
 def _parse_config_file(path):
@@ -82,56 +79,25 @@ def _parse_config_file(path):
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        value = value.strip()
-        if key not in RUN_DEFAULTS:
+        if key not in RUN_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key == "select":
-            if value.lower() not in ("true", "false", "on", "off", "1", "0"):
-                raise ConfigError(f"{path}:{lineno}: select must be true or false")
-            values[key] = value.lower() in ("true", "on", "1")
-        elif key in _COERCE:
-            try:
-                values[key] = _COERCE[key](value)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
-        else:
-            values[key] = value
+        values[key] = _coerce(key, value.strip(), f"{path}:{lineno}: ")
     return values
 
 
-def _merged_run_settings(args):
-    settings = dict(RUN_DEFAULTS)
-    if args.config is not None:
-        settings.update(_parse_config_file(args.config))
-    for key in RUN_DEFAULTS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            settings[key] = flag_value
-    if args.no_select:
-        settings["select"] = False
-    if settings["input"] is None:
+def run_config(args):
+    """The PipelineConfig of a `run` command: config file first, then flags."""
+    settings = {} if args.config is None else _parse_config_file(args.config)
+    for key in RUN_KEYS:
+        if (text := getattr(args, key)) is not None:
+            settings[key] = _coerce(key, text)
+    if "input" not in settings:
         raise ConfigError("an input matrix is required (--input or config file)")
-    return settings
+    return PipelineConfig(**{RUN_KEYS[key]: value for key, value in settings.items()})
 
 
 def cmd_run(args):
-    s = _merged_run_settings(args)
-    config = PipelineConfig(
-        input_path=s["input"],
-        orientation=s["orientation"],
-        delimiter=s["delimiter"],
-        new_min=s["new_min"],
-        new_max=s["new_max"],
-        select=s["select"],
-        k=s["k"],
-        strategy=s["strategy"],
-        seed=s["seed"],
-        mode=s["mode"],
-        max_iters=s["max_iters"],
-        runs=s["runs"],
-        output_dir=s["out"],
-        formats=parse_formats(s["format"]),
-    )
+    config = run_config(args)
     if config.runs == 1:
         run_pipeline(config)
     else:
@@ -184,6 +150,7 @@ def _load_assignment(path):
 
 
 def cmd_evaluate(args):
+    check_delimiter(args.delimiter)
     matrix = read_matrix(args.data, GENES_AS_ROWS, args.delimiter)
     payload = _load_assignment(args.assignment)
     if list(matrix.gene_ids) != list(payload["point_ids"]):
@@ -220,25 +187,26 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # run flags are read as text and typed like config-file values (run_config)
     run = sub.add_parser("run", help="run the full pipeline on a matrix file")
     run.add_argument("--input", help="expression matrix (TSV or CSV)")
     run.add_argument("--config", help="key=value config file; flags override it")
-    run.add_argument("--orientation", choices=ORIENTATIONS, default=None)
-    run.add_argument("--delimiter", default=None, help="field delimiter override")
-    run.add_argument("--k", type=int, default=None, help="number of clusters (default 7)")
-    run.add_argument("--strategy", choices=STRATEGIES, default=None)
-    run.add_argument("--seed", type=int, default=None,
+    run.add_argument("--orientation", choices=ORIENTATIONS)
+    run.add_argument("--delimiter", help="one-character field delimiter override")
+    run.add_argument("--k", help=f"number of clusters (default {PipelineConfig.k})")
+    run.add_argument("--strategy", choices=STRATEGIES)
+    run.add_argument("--seed",
                      help="seed for the random strategy; run i of a multi-run uses seed+i")
-    run.add_argument("--mode", choices=("exact", "shortcut"), default=None)
-    run.add_argument("--no-select", action="store_true",
+    run.add_argument("--mode", choices=MODES)
+    run.add_argument("--no-select", dest="select", action="store_const", const="false",
                      help="skip rough-set gene selection")
-    run.add_argument("--new-min", dest="new_min", type=float, default=None)
-    run.add_argument("--new-max", dest="new_max", type=float, default=None)
-    run.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    run.add_argument("--runs", type=int, default=None,
-                     help="repeat the pipeline this many times (default 1)")
-    run.add_argument("--out", default=None, help="directory for artifacts")
-    run.add_argument("--format", default=None, help="comma list from: json,tsv")
+    run.add_argument("--new-min", dest="new_min")
+    run.add_argument("--new-max", dest="new_max")
+    run.add_argument("--max-iters", dest="max_iters")
+    run.add_argument("--runs",
+                     help=f"repeat the pipeline this many times (default {PipelineConfig.runs})")
+    run.add_argument("--out", help="directory for artifacts")
+    run.add_argument("--format", help=f"comma list from: {','.join(FORMATS)}")
     run.set_defaults(func=cmd_run)
 
     gen = sub.add_parser("generate", help="write a synthetic matrix with planted clusters")
@@ -258,7 +226,7 @@ def _build_parser():
     ev.add_argument("--assignment", required=True, help="assignment.json from a run")
     ev.add_argument("--delimiter", default=None)
     ev.add_argument("--out", default=None, help="directory for the report files")
-    ev.add_argument("--format", default="json,tsv")
+    ev.add_argument("--format", default=",".join(FORMATS))
     ev.set_defaults(func=cmd_evaluate)
     return parser
 

@@ -19,6 +19,8 @@ import numpy as np
 from .errors import ValidationError
 
 MODES = ("exact", "shortcut")
+# centroid seeding schemes, dispatched on by cluster_pipeline
+STRATEGIES = ("ecia", "random")
 
 
 def euclidean_distance(x, y):
@@ -303,19 +305,15 @@ def cluster_pipeline(m, k, strategy="ecia", seed=None, mode="exact", max_iters=1
 
     strategy "ecia" is deterministic and takes no seed; "random" requires one.
     """
-    if not m.is_complete:
-        raise ValidationError("matrix has missing entries; drop incomplete genes first")
+    if strategy not in STRATEGIES:
+        raise ValidationError(f"unknown strategy: {strategy!r}")
     d = Dataset.from_matrix(m)
-    if k > d.n_points:
-        raise ValueError(f"k={k} exceeds the gene count {d.n_points}")
     if strategy == "ecia":
         if seed is not None:
             raise ValueError("seed applies only to the random strategy")
         init = ecia_initialize(d, k)
-    elif strategy == "random":
+    else:
         if seed is None:
             raise ValueError("the random strategy requires a seed")
         init = random_initialize(d, k, seed)
-    else:
-        raise ValidationError(f"unknown strategy: {strategy!r}")
     return kmeans(d, init, mode=mode, max_iters=max_iters)

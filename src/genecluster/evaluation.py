@@ -127,11 +127,8 @@ def _carried_sum(carry, terms, axis):
 
 
 def _argmax_cluster(per_cluster):
-    best_cluster, best_mean = None, None
-    for c, _, mean in per_cluster:
-        if best_mean is None or mean > best_mean:
-            best_cluster, best_mean = c, mean
-    return best_cluster
+    """Cluster of the highest mean; max keeps the first, so ties go to the lowest."""
+    return max(per_cluster, key=lambda row: row[2])[0]
 
 
 def compact_cluster(r):

@@ -43,17 +43,19 @@ def _freeze(values, dtype):
 
 
 @dataclass(frozen=True, eq=False)
-class ExpressionMatrix:
-    """Genes-by-conditions matrix of real values; NaN marks a missing entry."""
+class _LabeledMatrix:
+    """Genes-by-conditions values: at least one gene and one condition, unique ids."""
 
     gene_ids: tuple
     condition_ids: tuple
     values: np.ndarray
 
+    _dtype = float
+
     def __post_init__(self):
         object.__setattr__(self, "gene_ids", tuple(self.gene_ids))
         object.__setattr__(self, "condition_ids", tuple(self.condition_ids))
-        object.__setattr__(self, "values", _freeze(self.values, float))
+        object.__setattr__(self, "values", _freeze(self.values, self._dtype))
         if self.values.ndim != 2:
             raise ValidationError("values must be a 2-d array")
         if self.values.shape != (len(self.gene_ids), len(self.condition_ids)):
@@ -78,64 +80,40 @@ class ExpressionMatrix:
     def shape(self):
         return (self.n_genes, self.n_conditions)
 
+
+class ExpressionMatrix(_LabeledMatrix):
+    """Genes-by-conditions matrix of real values; NaN marks a missing entry."""
+
     @property
     def is_complete(self):
         """True when no entry is missing."""
         return not np.isnan(self.values).any()
 
 
-@dataclass(frozen=True, eq=False)
-class DiscretizedMatrix:
+class DiscretizedMatrix(_LabeledMatrix):
     """Genes-by-conditions matrix of regulation codes, every entry in {-1, 0, +1}."""
 
-    gene_ids: tuple
-    condition_ids: tuple
-    values: np.ndarray
+    _dtype = np.int8
 
     def __post_init__(self):
-        object.__setattr__(self, "gene_ids", tuple(self.gene_ids))
-        object.__setattr__(self, "condition_ids", tuple(self.condition_ids))
-        object.__setattr__(self, "values", _freeze(self.values, np.int8))
-        if self.values.ndim != 2 or self.values.shape != (
-            len(self.gene_ids),
-            len(self.condition_ids),
-        ):
-            raise ValidationError("value shape does not match gene/condition ids")
-        if self.n_genes == 0 or self.n_conditions == 0:
-            raise ValidationError("matrix must have at least one gene and one condition")
+        super().__post_init__()
         if not np.isin(self.values, (-1, 0, 1)).all():
             raise ValidationError("discretized entries must be -1, 0 or +1")
-        _check_unique(self.gene_ids, "gene")
-        _check_unique(self.condition_ids, "condition")
-
-    @property
-    def n_genes(self):
-        return len(self.gene_ids)
-
-    @property
-    def n_conditions(self):
-        return len(self.condition_ids)
-
-    @property
-    def shape(self):
-        return (self.n_genes, self.n_conditions)
 
 
 @dataclass(frozen=True)
 class NormalizationParams:
-    """Target range for min-max normalization; new_min must be < new_max."""
+    """Target range for min-max normalization: finite new_min < new_max, and
+    a width new_max - new_min that does not overflow a float."""
 
     new_min: float = 0.0
     new_max: float = 1.0
 
     def __post_init__(self):
-        if not (
-            math.isfinite(self.new_min)
-            and math.isfinite(self.new_max)
-            and self.new_min < self.new_max
-        ):
+        if not (self.new_min < self.new_max and math.isfinite(self.new_max - self.new_min)):
             raise ValidationError(
-                f"need finite new_min < new_max, got [{self.new_min}, {self.new_max}]"
+                "need finite new_min < new_max with a finite width new_max - new_min,"
+                f" got [{self.new_min}, {self.new_max}]"
             )
 
 

@@ -14,8 +14,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .clustering import Dataset, cluster_pipeline
-from .errors import ConfigError, GeneClusterError, PipelineError
+from .clustering import MODES, STRATEGIES, Dataset, cluster_pipeline
+from .errors import ConfigError, GeneClusterError, PipelineError, ValidationError
 from .evaluation import silhouette_scores
 from .matrix import (
     GENES_AS_ROWS,
@@ -23,7 +23,6 @@ from .matrix import (
     NormalizationParams,
     discretize,
     drop_incomplete_genes,
-    matrix_to_text,
     min_max_normalize,
     read_matrix,
     subset_genes,
@@ -32,7 +31,6 @@ from .matrix import (
 )
 from .roughset import build_table, kept_genes, usqr_reduct
 
-STRATEGIES = ("ecia", "random")
 FORMATS = ("json", "tsv")
 
 
@@ -54,27 +52,30 @@ class PipelineConfig:
     formats: tuple = FORMATS
 
     def validate(self):
-        if self.orientation not in ORIENTATIONS:
-            raise ConfigError(f"unknown orientation: {self.orientation!r}")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy: {self.strategy!r}")
-        if self.mode not in ("exact", "shortcut"):
-            raise ConfigError(f"unknown mode: {self.mode!r}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.runs < 1:
-            raise ConfigError(f"runs must be >= 1, got {self.runs}")
-        if not self.new_min < self.new_max:
-            raise ConfigError(
-                f"need new_min < new_max, got [{self.new_min}, {self.new_max}]"
-            )
+        for name, allowed in (
+            ("orientation", ORIENTATIONS), ("strategy", STRATEGIES), ("mode", MODES),
+        ):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"unknown {name}: {getattr(self, name)!r}")
+        for name in ("k", "max_iters", "runs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        try:
+            NormalizationParams(self.new_min, self.new_max)
+        except ValidationError as err:
+            raise ConfigError(str(err)) from err
         if self.strategy == "random" and self.seed is None:
             raise ConfigError("the random strategy requires --seed")
         if self.strategy == "ecia" and self.seed is not None:
             raise ConfigError("--seed applies only to the random strategy")
+        check_delimiter(self.delimiter)
         _check_formats(self.formats)
+
+
+def check_delimiter(delimiter):
+    """A field delimiter override is None (taken from the file name) or one character."""
+    if delimiter is not None and not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise ConfigError(f"delimiter must be one character, got {delimiter!r}")
 
 
 def _check_formats(formats):

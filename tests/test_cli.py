@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from genecluster import write_matrix
-from genecluster.cli import main
+from genecluster import PipelineConfig, write_matrix
+from genecluster.cli import RUN_KEYS, _build_parser, main, run_config
 
 from helpers import bump_matrix
 
@@ -192,6 +193,87 @@ def test_config_file_errors(tmp_path, capsys):
     no_equals.write_text("just a line\n")
     assert main(["run", "--config", str(no_equals)]) == 2
     assert "expected key=value" in capsys.readouterr().err
+
+
+def _run_parser():
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    return sub.choices["run"]
+
+
+def test_run_flags_config_keys_and_fields_agree():
+    dests = {a.dest for a in _run_parser()._actions} - {"help", "config"}
+    assert dests == set(RUN_KEYS)
+    fields = [f.name for f in dataclasses.fields(PipelineConfig)]
+    assert sorted(RUN_KEYS.values()) == sorted(fields)  # one key per field
+    renamed = {k: f for k, f in RUN_KEYS.items() if k != f}
+    assert renamed == {"input": "input_path", "out": "output_dir", "format": "formats"}
+
+
+def test_config_file_with_every_key_equals_flags(tmp_path):
+    settings = {
+        "input": "m.tsv", "orientation": "genes-as-columns", "delimiter": ";",
+        "k": "3", "strategy": "random", "seed": "5", "mode": "shortcut",
+        "new-min": "-1.5", "new-max": "2.5", "max-iters": "50", "runs": "2",
+        "out": "results", "format": "json",
+    }
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()) + "select = off\n")
+    flags = [part for k, v in settings.items() for part in (f"--{k}", v)] + ["--no-select"]
+    from_file = run_config(_run_parser().parse_args(["--config", str(cfg)]))
+    from_flags = run_config(_run_parser().parse_args(flags))
+    assert from_file == from_flags == PipelineConfig(
+        "m.tsv", orientation="genes-as-columns", delimiter=";", new_min=-1.5,
+        new_max=2.5, select=False, k=3, strategy="random", seed=5, mode="shortcut",
+        max_iters=50, runs=2, output_dir="results", formats=("json",),
+    )
+    assert set(settings) | {"select"} == {k.replace("_", "-") for k in RUN_KEYS}
+
+
+@pytest.mark.parametrize("bounds", [
+    ["--new-min=-1e308", "--new-max=1e308"],  # each end finite, the width overflows
+    ["--new-min=-inf"],
+    ["--new-max=inf"],
+])
+def test_run_normalization_range_is_config_error(generated, tmp_path, capsys, bounds):
+    matrix, _ = generated
+    out = tmp_path / "out"
+    code = main(["run", "--input", str(matrix), "--no-select", "--k", "2",
+                 "--out", str(out), *bounds])
+    assert code == 2
+    assert "finite width" in capsys.readouterr().err
+    assert not (out / "normalized.tsv").exists()
+
+
+def test_config_file_normalization_range_is_config_error(generated, tmp_path, capsys):
+    matrix, _ = generated
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(f"input = {matrix}\nselect = off\nnew-min = -1e308\nnew_max = 1e308\n")
+    assert main(["run", "--config", str(cfg), "--k", "2"]) == 2
+    assert "finite width" in capsys.readouterr().err
+
+
+def test_long_delimiter_is_config_error(generated, tmp_path, capsys):
+    matrix, _ = generated
+    rundir = tmp_path / "run"
+    assert main(["run", "--input", str(matrix), "--no-select", "--k", "4",
+                 "--out", str(rundir)]) == 0
+    capsys.readouterr()
+    message = "delimiter must be one character, got ';;'"
+
+    assert main(["run", "--input", str(matrix), "--delimiter", ";;"]) == 2
+    assert message in capsys.readouterr().err
+
+    cfg = tmp_path / "delim.cfg"
+    cfg.write_text(f"input = {matrix}\ndelimiter = ;;\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+    code = main([
+        "evaluate", "--data", str(rundir / "normalized.tsv"),
+        "--assignment", str(rundir / "assignment.json"), "--delimiter", ";;",
+    ])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_multi_run_deterministic_summary(tmp_path, capsys):

@@ -275,6 +275,9 @@ def test_normalization_params_validation():
         NormalizationParams(2.0, 0.0)
     with pytest.raises(ValidationError):
         NormalizationParams(0.0, math.inf)
+    with pytest.raises(ValidationError, match="finite width"):
+        NormalizationParams(-1e308, 1e308)  # each end finite, the width overflows
+    assert NormalizationParams(-1e308, 0.0).new_min == -1e308
 
 
 def test_discretize_worked_row():

@@ -205,6 +205,10 @@ def test_config_validation_rules(small_file):
         {"max_iters": 0},
         {"runs": 0},
         {"new_min": 1.0, "new_max": 1.0},
+        {"new_min": -1e308, "new_max": 1e308},  # the width overflows a float
+        {"new_min": -np.inf},
+        {"delimiter": ";;"},
+        {"delimiter": ""},
         {"strategy": "random"},  # seed missing
         {"seed": 3},  # seed with the deterministic strategy
         {"formats": ()},
