@@ -237,8 +237,32 @@ def _fail(err):
     print(f"genecluster: error: {prefix}{err}", file=sys.stderr)
 
 
+def _is_negative_number(word):
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return word.startswith("-")
+
+
+def _attach_negative_values(argv):
+    """Join "--flag -1e-3" into "--flag=-1e-3".
+
+    argparse takes a word for a negative number only in the forms -5 and
+    -0.5, so it reads "-1e-3" (or "-inf") after a flag as another option.
+    """
+    out = []
+    for word in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _is_negative_number(word):
+            out[-1] = f"{out[-1]}={word}"
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_attach_negative_values(argv))
     try:
         return args.func(args)
     except ConfigError as err:

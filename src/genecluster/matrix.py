@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -129,6 +130,29 @@ def _parse_cell(field, line_no, col_label):
         ) from None
 
 
+def _lines(text):
+    r"""The lines of text, each keeping its "\n", as io.StringIO(text) yields them.
+
+    Only "\n" ends a line; str.splitlines would also split on "\r", "\x0b",
+    "\x0c", "\x1c"-"\x1e", "\x85" and "\u2028".
+    """
+    start = 0
+    while end := text.find("\n", start) + 1:
+        yield text[start:end]
+        start = end
+    if start < len(text):
+        yield text[start:]
+
+
+def _records(text, delimiter):
+    """(line, fields) for every non-empty csv record of text; line is the
+    file line the record ends on."""
+    reader = csv.reader(_lines(text), delimiter=delimiter)
+    for row in reader:
+        if row:
+            yield reader.line_num, row
+
+
 def parse_matrix(text, orientation=GENES_AS_ROWS, delimiter="\t"):
     """Parse delimited text into an ExpressionMatrix.
 
@@ -137,44 +161,56 @@ def parse_matrix(text, orientation=GENES_AS_ROWS, delimiter="\t"):
     orientation "genes-as-rows" file rows are genes and file columns are
     conditions; "genes-as-columns" is the transpose and is flipped into the
     canonical genes-by-conditions layout.  The orientation is never guessed.
+
+    Rows are read one at a time into a preallocated float64 array, each row
+    converted by one float() pass; a row that pass rejects (a missing token,
+    a bad cell) is converted again cell by cell, which names the bad cell.
     """
     if orientation not in ORIENTATIONS:
         raise ValidationError(f"unknown orientation: {orientation!r}")
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
-    rows = [(i + 1, row) for i, row in enumerate(reader) if row]
-    if not rows:
-        raise ParseError("empty input: no header row")
-    header_no, header = rows[0]
-    if len(header) < 2:
-        raise ParseError("header must contain at least one column id", line=header_no)
-    col_ids = tuple(h.strip() for h in header[1:])
-    if "" in col_ids:
-        field = col_ids.index("") + 2
-        raise ParseError(f"header field {field}: empty column id", line=header_no)
-    row_ids = []
-    data = []
-    for line_no, row in rows[1:]:
-        if len(row) != len(header):
-            raise ParseError(
-                f"expected {len(header)} fields, got {len(row)}", line=line_no
-            )
-        row_id = row[0].strip()
-        if not row_id:
-            raise ParseError("empty row id", line=line_no)
-        row_ids.append(row_id)
-        data.append(
-            [
-                _parse_cell(field, line_no, col_ids[j])
-                for j, field in enumerate(row[1:])
-            ]
-        )
-    if not data:
+    records = _records(text, delimiter)
+    try:
+        header_no, header = next(records, (None, None))
+        if header is None:
+            raise ParseError("empty input: no header row")
+        if len(header) < 2:
+            raise ParseError("header must contain at least one column id", line=header_no)
+        col_ids = tuple(h.strip() for h in header[1:])
+        if "" in col_ids:
+            field = col_ids.index("") + 2
+            raise ParseError(f"header field {field}: empty column id", line=header_no)
+        # every record takes at least one line, so this bounds the data rows
+        values = np.empty((text.count("\n") + 1, len(col_ids)))
+        row_ids = []
+        for line_no, row in records:
+            if len(row) != len(header):
+                raise ParseError(
+                    f"expected {len(header)} fields, got {len(row)}", line=line_no
+                )
+            row_id = row[0].strip()
+            if not row_id:
+                raise ParseError("empty row id", line=line_no)
+            try:
+                values[len(row_ids)] = list(map(float, row[1:]))
+            except ValueError:
+                values[len(row_ids)] = [
+                    _parse_cell(field, line_no, col_ids[j])
+                    for j, field in enumerate(row[1:])
+                ]
+            row_ids.append(row_id)
+    except ParseError:
+        # a csv error later in the text takes precedence, as it did when every
+        # record was read before any was checked
+        for _ in records:
+            pass
+        raise
+    if not row_ids:
         raise ParseError("no data rows after the header")
-    values = np.array(data, dtype=float)
+    values = values[: len(row_ids)]
     infinite = np.argwhere(np.isinf(values))
     if len(infinite):
         r, c = infinite[0]
-        line_no, row = rows[1 + r]
+        line_no, row = next(itertools.islice(_records(text, delimiter), 1 + r, None))
         raise ParseError(
             f"column {col_ids[c]!r}: not a finite number: {row[1 + c].strip()!r}",
             line=line_no,
@@ -206,26 +242,27 @@ def read_matrix(path, orientation=GENES_AS_ROWS, delimiter=None):
     return parse_matrix(Path(path).read_text(), orientation, delimiter)
 
 
-def _format_cell(v, integral):
-    if integral:
-        return str(int(v))
-    if math.isnan(v):
-        return MISSING_OUTPUT_TOKEN
-    return repr(float(v))
-
-
 def matrix_to_text(m, delimiter="\t"):
     """Render a matrix (expression or discretized) back to delimited text.
 
     Floats use repr so that a write/read round trip reproduces the exact
-    values; discretized matrices are written as bare integers.
+    values, and a missing entry is written as NA; discretized matrices are
+    written as bare integers.  Each row is formatted by one map over its
+    Python values.
     """
-    integral = isinstance(m, DiscretizedMatrix)
     out = io.StringIO()
     writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
     writer.writerow(["id", *m.condition_ids])
-    for gid, row in zip(m.gene_ids, m.values):
-        writer.writerow([gid, *(_format_cell(v, integral) for v in row)])
+    if isinstance(m, DiscretizedMatrix):
+        for gid, row in zip(m.gene_ids, m.values):
+            writer.writerow([gid, *map(str, row.tolist())])
+        return out.getvalue()
+    has_nan = np.isnan(m.values).any(axis=1)
+    for gid, row, nan in zip(m.gene_ids, m.values, has_nan):
+        cells = map(repr, row.tolist())
+        if nan:
+            cells = (MISSING_OUTPUT_TOKEN if c == "nan" else c for c in cells)
+        writer.writerow([gid, *cells])
     return out.getvalue()
 
 

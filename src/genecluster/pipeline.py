@@ -73,9 +73,16 @@ class PipelineConfig:
 
 
 def check_delimiter(delimiter):
-    """A field delimiter override is None (taken from the file name) or one character."""
-    if delimiter is not None and not (isinstance(delimiter, str) and len(delimiter) == 1):
+    """A field delimiter override is None (taken from the file name) or one
+    character other than the csv quote character and a line break."""
+    if delimiter is None:
+        return
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise ConfigError(f"delimiter must be one character, got {delimiter!r}")
+    if delimiter in '"\r\n':
+        raise ConfigError(
+            f"delimiter cannot be the quote character or a line break, got {delimiter!r}"
+        )
 
 
 def _check_formats(formats):

@@ -179,15 +179,17 @@ class ReductRound:
     forced: bool
     candidate_scores: tuple
 
-    def to_dict(self):
-        return {
+    def to_dict(self, include_candidate_scores=True):
+        out = {
             "attribute": self.attribute,
             "mean_dependency": _fraction_dict(self.mean_dependency),
             "forced": self.forced,
-            "candidate_scores": [
-                {"attribute": a, **_fraction_dict(s)} for a, s in self.candidate_scores
-            ],
         }
+        if include_candidate_scores:
+            out["candidate_scores"] = [
+                {"attribute": a, **_fraction_dict(s)} for a, s in self.candidate_scores
+            ]
+        return out
 
 
 @dataclass(frozen=True)
@@ -197,13 +199,9 @@ class Reduct:
     final_mean_dependency: Fraction
 
     def to_dict(self, include_candidate_scores=True):
-        rounds = [r.to_dict() for r in self.trace]
-        if not include_candidate_scores:
-            for r in rounds:
-                del r["candidate_scores"]
         return {
             "selected": list(self.selected),
-            "rounds": rounds,
+            "rounds": [r.to_dict(include_candidate_scores) for r in self.trace],
             "final_mean_dependency": _fraction_dict(self.final_mean_dependency),
         }
 

@@ -5,13 +5,23 @@ exhaustive subset search) and never touch the library's own partition or
 distance machinery, so agreement is meaningful.
 """
 
+import csv
+import io
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from genecluster import ExpressionMatrix
-from genecluster.errors import ValidationError
+from genecluster.errors import ParseError, ValidationError
 from genecluster.evaluation import SilhouetteReport, _argmax_cluster
+from genecluster.matrix import (
+    GENES_AS_ROWS,
+    MISSING_OUTPUT_TOKEN,
+    ORIENTATIONS,
+    DiscretizedMatrix,
+    _parse_cell,
+)
 from genecluster.roughset import (
     Reduct,
     ReductRound,
@@ -223,3 +233,78 @@ def oracle_usqr_reduct(table):
             ReductRound(table.attribute_ids[best_pos], current, forced, tuple(scores))
         )
     return Reduct(tuple(selected), tuple(trace), current)
+
+
+def oracle_parse_matrix(text, orientation=GENES_AS_ROWS, delimiter="\t"):
+    """Parse delimited text cell by cell, every record read before any is checked.
+
+    This is the parser the library's row-at-a-time one replaced.  Its line
+    numbers count records, which equals the file line for every file
+    without a quoted multi-line field.
+    """
+    if orientation not in ORIENTATIONS:
+        raise ValidationError(f"unknown orientation: {orientation!r}")
+    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    rows = [(i + 1, row) for i, row in enumerate(reader) if row]
+    if not rows:
+        raise ParseError("empty input: no header row")
+    header_no, header = rows[0]
+    if len(header) < 2:
+        raise ParseError("header must contain at least one column id", line=header_no)
+    col_ids = tuple(h.strip() for h in header[1:])
+    if "" in col_ids:
+        field = col_ids.index("") + 2
+        raise ParseError(f"header field {field}: empty column id", line=header_no)
+    row_ids = []
+    data = []
+    for line_no, row in rows[1:]:
+        if len(row) != len(header):
+            raise ParseError(
+                f"expected {len(header)} fields, got {len(row)}", line=line_no
+            )
+        row_id = row[0].strip()
+        if not row_id:
+            raise ParseError("empty row id", line=line_no)
+        row_ids.append(row_id)
+        data.append(
+            [
+                _parse_cell(field, line_no, col_ids[j])
+                for j, field in enumerate(row[1:])
+            ]
+        )
+    if not data:
+        raise ParseError("no data rows after the header")
+    values = np.array(data, dtype=float)
+    infinite = np.argwhere(np.isinf(values))
+    if len(infinite):
+        r, c = infinite[0]
+        line_no, row = rows[1 + r]
+        raise ParseError(
+            f"column {col_ids[c]!r}: not a finite number: {row[1 + c].strip()!r}",
+            line=line_no,
+        )
+    if orientation == GENES_AS_ROWS:
+        return ExpressionMatrix(tuple(row_ids), col_ids, values)
+    return ExpressionMatrix(col_ids, tuple(row_ids), values.T)
+
+
+def _oracle_format_cell(v, integral):
+    if integral:
+        return str(int(v))
+    if math.isnan(v):
+        return MISSING_OUTPUT_TOKEN
+    return repr(float(v))
+
+
+def oracle_matrix_to_text(m, delimiter="\t"):
+    """Render a matrix to delimited text one cell at a time.
+
+    This is the writer the library's row-at-a-time one replaced.
+    """
+    integral = isinstance(m, DiscretizedMatrix)
+    out = io.StringIO()
+    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(["id", *m.condition_ids])
+    for gid, row in zip(m.gene_ids, m.values):
+        writer.writerow([gid, *(_oracle_format_cell(v, integral) for v in row)])
+    return out.getvalue()

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from genecluster import PipelineConfig, write_matrix
+from genecluster import PipelineConfig, parse_matrix, write_matrix
 from genecluster.cli import RUN_KEYS, _build_parser, main, run_config
 
 from helpers import bump_matrix
@@ -274,6 +274,51 @@ def test_long_delimiter_is_config_error(generated, tmp_path, capsys):
     ])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delimiter", ['"', "\n", "\r"])
+def test_quote_or_line_break_delimiter_is_config_error(generated, tmp_path, capsys, delimiter):
+    matrix, _ = generated
+    rundir = tmp_path / "run"
+    assert main(["run", "--input", str(matrix), "--no-select", "--k", "4",
+                 "--out", str(rundir)]) == 0
+    capsys.readouterr()
+    message = f"delimiter cannot be the quote character or a line break, got {delimiter!r}"
+
+    assert main(["run", "--input", str(matrix), "--delimiter", delimiter]) == 2
+    assert message in capsys.readouterr().err
+
+    if delimiter == '"':  # a config-file value cannot hold a line break
+        cfg = tmp_path / "delim.cfg"
+        cfg.write_text(f"input = {matrix}\ndelimiter = {delimiter}\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+
+    code = main([
+        "evaluate", "--data", str(rundir / "normalized.tsv"),
+        "--assignment", str(rundir / "assignment.json"), "--delimiter", delimiter,
+    ])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_negative_exponent_value_as_separate_word(generated, tmp_path, capsys):
+    matrix, _ = generated
+    outputs = []
+    for bounds in (["--new-min", "-1e-3", "--new-max", "2.5"],
+                   ["--new-min=-1e-3", "--new-max=2.5"]):
+        out = tmp_path / str(len(outputs))
+        code = main(["run", "--input", str(matrix), "--no-select", "--k", "2",
+                     "--out", str(out), *bounds])
+        assert code == 0
+        outputs.append((out / "normalized.tsv").read_text())
+    assert outputs[0] == outputs[1]
+    values = parse_matrix(outputs[0]).values
+    assert (values.min(), values.max()) == (-1e-3, 2.5)
+    capsys.readouterr()
+    # an infinite bound given as a separate word is a config error, not an unknown option
+    assert main(["run", "--input", str(matrix), "--no-select", "--new-min", "-inf"]) == 2
+    assert "finite width" in capsys.readouterr().err
 
 
 def test_multi_run_deterministic_summary(tmp_path, capsys):

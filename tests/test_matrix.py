@@ -1,7 +1,12 @@
+import csv
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genecluster import (
     DiscretizedMatrix,
@@ -12,6 +17,7 @@ from genecluster import (
     ValidationError,
     discretize,
     drop_incomplete_genes,
+    generate_synthetic,
     matrix_to_text,
     min_max_normalize,
     parse_discretized,
@@ -20,6 +26,9 @@ from genecluster import (
     subset_genes,
     write_matrix,
 )
+from genecluster.matrix import GENES_AS_COLUMNS, GENES_AS_ROWS, ORIENTATIONS, _lines
+
+from helpers import oracle_matrix_to_text, oracle_parse_matrix
 
 SMALL_TSV = "id\tt1\tt2\ng1\t1.5\t2.0\ng2\t0.0\t-3.25\ng3\t4.0\t1.0\n"
 
@@ -57,6 +66,22 @@ def test_parse_genes_as_columns_transposes():
     assert m.gene_ids == tuple(genes)
     # entry (gene i, condition j) came from file row j, column i
     assert m.values[3, 2] == pytest.approx(2 + 3 * 0.001)
+
+
+def test_parse_error_names_the_file_line_after_a_multi_line_record():
+    # the quoted id "g\n1" spans lines 2-3, so the bad cell "x" is on line 4
+    text = 'id\tt1\tt2\n"g\n1"\t1\t2\ng2\t1\tx\n'
+    with pytest.raises(ParseError, match="^line 4: column 't2': not a number: 'x'$"):
+        parse_matrix(text)
+    text = 'id\tt1\tt2\n"g\n1"\t1\t2\ng2\t1\tinf\n'
+    with pytest.raises(ParseError, match="^line 4: column 't2': not a finite number: 'inf'$"):
+        parse_matrix(text)
+    assert parse_matrix(text.replace("inf", "3")).gene_ids == ("g\n1", "g2")
+
+
+@given(st.text(alphabet="ab\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+def test_lines_split_as_stringio_iterates(text):
+    assert list(_lines(text)) == list(io.StringIO(text))
 
 
 def test_parse_unknown_orientation():
@@ -382,3 +407,120 @@ def test_subset_genes_unknown_id():
     m = parse_matrix(SMALL_TSV)
     with pytest.raises(KeyError):
         subset_genes(m, ["nope"])
+
+
+def _parse_outcome(parse, text, orientation=GENES_AS_ROWS, delimiter="\t"):
+    """What parsing text gives: the error's type and message, or the ids and
+    the exact bits of the values."""
+    try:
+        m = parse(text, orientation, delimiter)
+    except (ParseError, ValidationError, csv.Error) as err:
+        return type(err).__name__, str(err)
+    return m.gene_ids, m.condition_ids, m.values.tobytes(), m.values.shape
+
+
+@pytest.mark.parametrize("cell", [
+    "na", "NaN", "", " nan ", "-nan", "\x1c1.5", " 1.5\x0b", "\u20031e-3", "1_000",
+    "inf", "-Infinity", "1e999", "bogus", "1.5.2", "0x10",
+])
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+def test_cell_outcomes_match_oracle(cell, orientation):
+    text = f"id\tt1\tt2\ng1\t1\t2\ng2\t3\t{cell}\ng3\t5\t6\n"
+    want = _parse_outcome(oracle_parse_matrix, text, orientation)
+    assert _parse_outcome(parse_matrix, text, orientation) == want
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "\n\n",
+    "id\n",
+    "id\tt1\n",
+    "id\tt1\t \ng1\t1\t2\n",
+    "id\tt1\tt2\ng1\t1\ng2\tbogus\t1\n",
+    "id\tt1\ng1\t1\n \t2\n",
+    "id\tt1\tt2\ng1\tinf\t1\ng2\tbogus\t1\n",  # the bad cell is reported first
+    "id\tt1\tt2\ng1\t1\t-inf\ng2\tinf\t1\n",
+    "id\tt1\n\ng1\t1\n\n\ng2\tx\n",  # blank lines still count
+    "id\tt1\ng1\t1\ng1\t2\n",
+    "id\tt1\ng1\tbogus\ng2\r1\n",  # a csv error anywhere comes first
+    "id\tt1\ng1\t1\r\ng2\t2\r\n",
+    "id\tt1\ng1\t1\ng2\t2",
+])
+def test_error_outcomes_match_oracle(text):
+    want = _parse_outcome(oracle_parse_matrix, text)
+    assert _parse_outcome(parse_matrix, text) == want
+
+
+_ID = st.text(alphabet='ab,\t"\n é', min_size=1, max_size=4).filter(lambda s: s == s.strip())
+_CELL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308]),
+    st.just(math.nan),
+)
+
+
+@st.composite
+def _matrices(draw):
+    n = draw(st.integers(1, 6))
+    c = draw(st.integers(1, 5))
+    gene_ids = draw(st.lists(_ID, min_size=n, max_size=n, unique=True))
+    condition_ids = draw(st.lists(_ID, min_size=c, max_size=c, unique=True))
+    values = draw(st.lists(st.lists(_CELL, min_size=c, max_size=c), min_size=n, max_size=n))
+    return ExpressionMatrix(gene_ids, condition_ids, np.array(values, dtype=float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=_matrices(), orientation=st.sampled_from(ORIENTATIONS),
+       delimiter=st.sampled_from(["\t", ","]))
+def test_text_round_trip_matches_oracles(m, orientation, delimiter):
+    text = matrix_to_text(m, delimiter)
+    assert text == oracle_matrix_to_text(m, delimiter)
+    got = parse_matrix(text, orientation, delimiter)
+    want = oracle_parse_matrix(text, orientation, delimiter)
+    assert (got.gene_ids, got.condition_ids) == (want.gene_ids, want.condition_ids)
+    assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+    if orientation == GENES_AS_COLUMNS:
+        got = ExpressionMatrix(got.condition_ids, got.gene_ids, got.values.T)
+    assert (got.gene_ids, got.condition_ids) == (m.gene_ids, m.condition_ids)
+    missing = np.isnan(m.values)
+    assert np.array_equal(np.isnan(got.values), missing)
+    assert np.array_equal(got.values[~missing].view(np.int64), m.values[~missing].view(np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=_matrices(), delimiter=st.sampled_from(["\t", ","]))
+def test_discretized_text_matches_oracle(m, delimiter):
+    codes = np.sign(np.nan_to_num(m.values)).astype(np.int8)
+    d = DiscretizedMatrix(m.gene_ids, m.condition_ids, codes)
+    text = matrix_to_text(d, delimiter)
+    assert text == oracle_matrix_to_text(d, delimiter)
+    assert (parse_discretized(text, delimiter).values == codes).all()
+
+
+def _wide_synthetic_matrix():
+    m, _ = generate_synthetic(3000, 60, 7, noise=0.3, missing_fraction=0.005, seed=1)
+    return m
+
+
+def test_parse_and_write_match_oracles_on_wide_synthetic_input():
+    m = _wide_synthetic_matrix()
+    text = matrix_to_text(m)
+    assert text == oracle_matrix_to_text(m)
+    got, want = parse_matrix(text), oracle_parse_matrix(text)
+    assert got.gene_ids == want.gene_ids
+    assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+    d = discretize(min_max_normalize(drop_incomplete_genes(got)))
+    assert matrix_to_text(d, ",") == oracle_matrix_to_text(d, ",")
+
+
+def test_parse_peak_memory_is_a_few_value_arrays():
+    text = matrix_to_text(_wide_synthetic_matrix())
+    # per-cell Python strings and floats took 34.9 MiB here for 1.4 MiB of values
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        m = parse_matrix(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 4 * m.values.nbytes

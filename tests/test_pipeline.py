@@ -209,6 +209,9 @@ def test_config_validation_rules(small_file):
         {"new_min": -np.inf},
         {"delimiter": ";;"},
         {"delimiter": ""},
+        {"delimiter": '"'},  # the csv quote character
+        {"delimiter": "\n"},
+        {"delimiter": "\r"},
         {"strategy": "random"},  # seed missing
         {"seed": 3},  # seed with the deterministic strategy
         {"formats": ()},

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import combinations
 
@@ -301,6 +302,22 @@ def test_usqr_trace_serialization():
         assert set(r) == {"attribute", "mean_dependency", "forced", "candidate_scores"}
     slim = reduct.to_dict(include_candidate_scores=False)
     assert all("candidate_scores" not in r for r in slim["rounds"])
+    for full in d["rounds"]:
+        del full["candidate_scores"]
+    assert slim == d
+
+
+def test_slim_trace_never_formats_candidate_scores():
+    reduct = usqr_reduct(make_table(np.random.default_rng(107).integers(0, 3, size=(6, 4))))
+    # scores that cannot be formatted: the slim dict must not touch them
+    unscored = roughset.Reduct(
+        reduct.selected,
+        tuple(dataclasses.replace(r, candidate_scores=None) for r in reduct.trace),
+        reduct.final_mean_dependency,
+    )
+    assert unscored.to_dict(include_candidate_scores=False) == reduct.to_dict(
+        include_candidate_scores=False
+    )
 
 
 def _matrix_pair(values):
