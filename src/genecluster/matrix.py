@@ -29,11 +29,15 @@ MISSING_TOKENS = frozenset({"", "na", "nan"})
 MISSING_OUTPUT_TOKEN = "NA"
 
 
-def _check_unique(labels, kind):
+def _check_ids(labels, kind):
+    r"""Ids are unique and hold no "\r": a csv writer leaves "\r" unquoted and
+    a text-mode read turns a quoted one into "\n", so no file keeps it."""
     seen = set()
     for lab in labels:
         if lab in seen:
             raise ValidationError(f"duplicate {kind} id: {lab!r}")
+        if "\r" in str(lab):
+            raise ValidationError(f"{kind} id holds a carriage return: {lab!r}")
         seen.add(lab)
 
 
@@ -66,8 +70,8 @@ class _LabeledMatrix:
             )
         if self.n_genes == 0 or self.n_conditions == 0:
             raise ValidationError("matrix must have at least one gene and one condition")
-        _check_unique(self.gene_ids, "gene")
-        _check_unique(self.condition_ids, "condition")
+        _check_ids(self.gene_ids, "gene")
+        _check_ids(self.condition_ids, "condition")
 
     @property
     def n_genes(self):
@@ -146,11 +150,15 @@ def _lines(text):
 
 def _records(text, delimiter):
     """(line, fields) for every non-empty csv record of text; line is the
-    file line the record ends on."""
+    file line the record ends on.  A csv error is a ParseError at the line
+    the reader stopped on."""
     reader = csv.reader(_lines(text), delimiter=delimiter)
-    for row in reader:
-        if row:
-            yield reader.line_num, row
+    try:
+        for row in reader:
+            if row:
+                yield reader.line_num, row
+    except csv.Error as err:
+        raise ParseError(str(err), line=reader.line_num) from None
 
 
 def parse_matrix(text, orientation=GENES_AS_ROWS, delimiter="\t"):

@@ -172,12 +172,23 @@ def mean_dependency(table, attrs):
 
 @dataclass(frozen=True)
 class ReductRound:
-    """One accepted round of the greedy search."""
+    """One accepted round of the greedy search.
+
+    The score of candidate candidates[i] is its pure total totals[i] over
+    denominator; the ratios are made only when the trace is written.
+    """
 
     attribute: str
     mean_dependency: Fraction
     forced: bool
-    candidate_scores: tuple
+    candidates: tuple
+    totals: tuple
+    denominator: int
+
+    @property
+    def candidate_scores(self):
+        """(attribute, pure total) of every candidate scored in the round."""
+        return tuple(zip(self.candidates, self.totals))
 
     def to_dict(self, include_candidate_scores=True):
         out = {
@@ -186,8 +197,13 @@ class ReductRound:
             "forced": self.forced,
         }
         if include_candidate_scores:
+            totals = np.array(self.totals, dtype=np.int64)
+            g = np.gcd(totals, self.denominator)
             out["candidate_scores"] = [
-                {"attribute": a, **_fraction_dict(s)} for a, s in self.candidate_scores
+                {"attribute": a, "ratio": f"{t}/{d}", "value": t / d}
+                for a, t, d in zip(
+                    self.candidates, (totals // g).tolist(), (self.denominator // g).tolist()
+                )
             ]
         return out
 
@@ -267,12 +283,13 @@ def usqr_reduct(table):
     which takes at most one round per attribute.
 
     Every mean dependency has the denominator n_objects * n_attributes, so
-    the search compares integer pure totals and makes exact fractions only
-    for the returned trace.  Each round scores all remaining candidates in
-    one pass of _round_totals.  For C objects, G attributes and at most V
-    distinct values per attribute (V = 3 for a discretized matrix) a round
-    costs O(C * V * G**2) arithmetic in O(B * G + _CANDIDATE_TILE * G)
-    memory, B being the largest block of the current partition.
+    the search compares integer pure totals, and each round keeps its
+    candidates' totals as integers.  Each round scores all remaining
+    candidates in one pass of _round_totals.  For C objects, G attributes
+    and at most V distinct values per attribute (V = 3 for a discretized
+    matrix) a round costs O(C * V * G**2) arithmetic in
+    O(B * G + _CANDIDATE_TILE * G) memory, B being the largest block of the
+    current partition.
     """
     codes = table._codes
     n_obj, n_attr = codes.shape
@@ -286,19 +303,17 @@ def usqr_reduct(table):
         totals = _round_totals(codes, group, remaining)
         best = int(np.argmax(totals))  # the first maximum: earliest in table order
         j = int(remaining[best])
-        scores = tuple(
-            (table.attribute_ids[c], Fraction(t, denominator))
-            for c, t in zip(remaining.tolist(), totals.tolist())
-        )
         forced = int(totals[best]) == current
         current = int(totals[best])
-        group = _refine(group, codes[:, j])
-        remaining = np.delete(remaining, best)
         trace.append(
             ReductRound(
-                table.attribute_ids[j], Fraction(current, denominator), forced, scores
+                table.attribute_ids[j], Fraction(current, denominator), forced,
+                tuple(map(table.attribute_ids.__getitem__, remaining.tolist())),
+                tuple(totals.tolist()), denominator,
             )
         )
+        group = _refine(group, codes[:, j])
+        remaining = np.delete(remaining, best)
     selected = tuple(r.attribute for r in trace)
     return Reduct(selected, tuple(trace), Fraction(current, denominator))
 

@@ -207,6 +207,7 @@ def oracle_usqr_reduct(table):
     which takes at most one round per attribute.
     """
     n_attr = table.n_attributes
+    denominator = table.n_objects * n_attr
     target = _mean_dependency_from_groups(table, _group_ids(table, range(n_attr)))
     group = np.zeros(table.n_objects, dtype=np.int64)
     current = _mean_dependency_from_groups(table, group)
@@ -230,9 +231,43 @@ def oracle_usqr_reduct(table):
         group = best_group
         current = best_score
         trace.append(
-            ReductRound(table.attribute_ids[best_pos], current, forced, tuple(scores))
+            ReductRound(
+                table.attribute_ids[best_pos], current, forced,
+                tuple(a for a, _ in scores),
+                tuple(int(s * denominator) for _, s in scores),
+                denominator,
+            )
         )
     return Reduct(tuple(selected), tuple(trace), current)
+
+
+def _oracle_fraction_dict(f):
+    return {"ratio": f"{f.numerator}/{f.denominator}", "value": float(f)}
+
+
+def oracle_reduct_dict(reduct, include_candidate_scores=True):
+    """A reduct's trace as a dict, one Fraction per candidate score.
+
+    This is the serialization the library's integer-total one replaced.
+    """
+    rounds = []
+    for r in reduct.trace:
+        out = {
+            "attribute": r.attribute,
+            "mean_dependency": _oracle_fraction_dict(r.mean_dependency),
+            "forced": r.forced,
+        }
+        if include_candidate_scores:
+            out["candidate_scores"] = [
+                {"attribute": a, **_oracle_fraction_dict(Fraction(t, r.denominator))}
+                for a, t in zip(r.candidates, r.totals)
+            ]
+        rounds.append(out)
+    return {
+        "selected": list(reduct.selected),
+        "rounds": rounds,
+        "final_mean_dependency": _oracle_fraction_dict(reduct.final_mean_dependency),
+    }
 
 
 def oracle_parse_matrix(text, orientation=GENES_AS_ROWS, delimiter="\t"):

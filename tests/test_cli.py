@@ -131,6 +131,23 @@ def test_run_overflowing_column_range_is_input_error(tmp_path, capsys):
     assert "stage 'normalize': range of condition column(s) overflows a float: t1" in err
 
 
+def test_run_oversized_cell_is_input_error(tmp_path, capsys):
+    path = tmp_path / "big.tsv"
+    path.write_text("id\tt1\ng1\t" + "1" * 200000 + "\ng2\t2\n")
+    code = main(["run", "--input", str(path), "--no-select", "--k", "2"])
+    assert code == 3
+    assert "stage 'parse': line 2: field larger than field limit" in capsys.readouterr().err
+
+
+def test_run_carriage_return_in_id_is_input_error(tmp_path, capsys):
+    # a text-mode read turns the "\r" into a line break, so the row splits
+    path = tmp_path / "cr.tsv"
+    path.write_bytes(b"id\tt1\ng\r1\t1\ng2\t2\n")
+    code = main(["run", "--input", str(path), "--no-select", "--k", "1"])
+    assert code == 3
+    assert "stage 'parse': line 2: expected 2 fields, got 1" in capsys.readouterr().err
+
+
 def test_run_empty_gene_id_is_input_error(tmp_path, capsys):
     path = tmp_path / "blank.tsv"
     path.write_text("id\tt1\tt2\ng1\t1\t2\n\t3\t4\n")

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from genecluster import (
     Centroids,
@@ -162,6 +164,42 @@ def test_kmeans_wcss_non_increasing_and_verified_convergence():
             diff = d.points[:, None, :] - a.centroids.vectors[None, :, :]
             relabeled = np.sqrt((diff**2).sum(axis=2)).argmin(axis=1)
             assert np.array_equal(relabeled, a.labels)
+
+
+@st.composite
+def _lloyd_cases(draw):
+    n = draw(st.integers(1, 30))
+    m = draw(st.integers(1, 4))
+    cells = st.floats(-1e6, 1e6) | st.integers(-3, 3).map(float)
+    points = draw(st.lists(st.lists(cells, min_size=m, max_size=m), min_size=n, max_size=n))
+    d = Dataset(tuple(f"p{i}" for i in range(n)), points)
+    k = draw(st.integers(1, min(n, 5)))
+    if draw(st.booleans()):
+        return d, ecia_initialize(d, k)
+    return d, random_initialize(d, k, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+# Three equal points whose float mean is one ulp off them: WCSS goes from
+# exactly 0 to about 1e-20, the only kind of rise a search of 24000 cases found.
+_EQUAL_POINTS = Dataset(("p0", "p1", "p2"), [[511821.62470025674]] * 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lloyd_cases())
+@example((_EQUAL_POINTS, ecia_initialize(_EQUAL_POINTS, 1)))
+def test_exact_lloyd_wcss_never_increases(case):
+    d, init = case
+    wcss = [h.wcss for h in kmeans(d, init, mode="exact").history]
+    # a float mean can miss the exact one, so WCSS may rise by rounding: at
+    # most what moving every centroid coordinate 4 ulps of the largest
+    # coordinate adds
+    slack = d.n_points * d.n_dims * (4 * np.spacing(np.abs(d.points).max())) ** 2
+    assert all(b <= a + slack for a, b in zip(wcss, wcss[1:]))
+
+
+def test_lloyd_wcss_rises_by_rounding_from_zero():
+    wcss = [h.wcss for h in kmeans(_EQUAL_POINTS, ecia_initialize(_EQUAL_POINTS, 1)).history]
+    assert wcss[0] == 0.0 < wcss[1] < 1e-19
 
 
 def test_kmeans_nearest_dist_matches_final_centroids():

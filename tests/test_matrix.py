@@ -1,7 +1,9 @@
 import csv
 import io
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -251,6 +253,51 @@ def test_normalize_matches_direct_formula():
     assert np.abs(out.values - expected).max() <= 1e-12
 
 
+@st.composite
+def _value_matrices(draw, bound=1e300):
+    n = draw(st.integers(1, 8))
+    c = draw(st.integers(1, 4))
+    cells = st.floats(-bound, bound) | st.sampled_from([0.0, -0.0, 1.0, 5e-324])
+    values = draw(st.lists(st.lists(cells, min_size=c, max_size=c), min_size=n, max_size=n))
+    return ExpressionMatrix(
+        tuple(f"g{i}" for i in range(n)), tuple(f"t{j}" for j in range(c)), values
+    )
+
+
+@st.composite
+def _normalization_params(draw):
+    lo = draw(st.floats(-1e300, 1e300))
+    hi = draw(st.floats(-1e300, 1e300).filter(lambda v: v > lo))
+    return NormalizationParams(lo, hi)
+
+
+@settings(deadline=None)
+@given(m=_value_matrices(), params=_normalization_params())
+def test_normalize_hits_endpoints_exactly(m, params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = min_max_normalize(m, params).values
+    v = m.values
+    assert ((out >= params.new_min) & (out <= params.new_max)).all()
+    for j in range(m.n_conditions):
+        lo, hi = v[:, j].min(), v[:, j].max()
+        if lo == hi:
+            assert (out[:, j] == params.new_min).all()
+        else:
+            assert (out[v[:, j] == lo, j] == params.new_min).all()
+            assert (out[v[:, j] == hi, j] == params.new_max).all()
+
+
+@given(m=_value_matrices(bound=1e308))
+def test_discretize_codes_are_regulation_signs(m):
+    d = discretize(m)
+    assert set(np.unique(d.values).tolist()) <= {-1, 0, 1}
+    # the sign of each change is the order of its two values, overflow or not
+    for row, codes in zip(m.values.tolist(), d.values.tolist()):
+        want = [(b > a) - (b < a) for a, b in zip([0.0, *row], row)]
+        assert codes == want
+
+
 def test_normalize_preserves_rank_order():
     rng = np.random.default_rng(9)
     values = rng.normal(size=(60, 5))
@@ -426,8 +473,20 @@ def _parse_outcome(parse, text, orientation=GENES_AS_ROWS, delimiter="\t"):
 @pytest.mark.parametrize("orientation", ORIENTATIONS)
 def test_cell_outcomes_match_oracle(cell, orientation):
     text = f"id\tt1\tt2\ng1\t1\t2\ng2\t3\t{cell}\ng3\t5\t6\n"
+    _assert_outcome_matches_oracle(text, orientation)
+
+
+def _assert_outcome_matches_oracle(text, orientation=GENES_AS_ROWS):
+    """Parsing gives the oracle's outcome, except that where the oracle lets a
+    csv.Error escape the library raises a ParseError with its message and a
+    line."""
     want = _parse_outcome(oracle_parse_matrix, text, orientation)
-    assert _parse_outcome(parse_matrix, text, orientation) == want
+    got = _parse_outcome(parse_matrix, text, orientation)
+    if want[0] == csv.Error.__name__:
+        assert got[0] == ParseError.__name__
+        assert re.fullmatch(r"line \d+: " + re.escape(want[1]), got[1])
+    else:
+        assert got == want
 
 
 @pytest.mark.parametrize("text", [
@@ -447,8 +506,31 @@ def test_cell_outcomes_match_oracle(cell, orientation):
     "id\tt1\ng1\t1\ng2\t2",
 ])
 def test_error_outcomes_match_oracle(text):
-    want = _parse_outcome(oracle_parse_matrix, text)
-    assert _parse_outcome(parse_matrix, text) == want
+    _assert_outcome_matches_oracle(text)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("id\tt1\ng1\t" + "1" * 200000 + "\ng2\t2\n", 2, "field larger than field limit"),
+    ("id\tt1\ng\r1\t1\ng2\t2\n", 2, "new-line character seen in unquoted field"),
+    ("id\tt1\ng1\tbogus\ng2\t1\ng3\r1\n", 4, "new-line character seen in unquoted field"),
+])
+def test_csv_error_is_parse_error_with_line(text, line, message):
+    with pytest.raises(ParseError, match=f"^line {line}: {message}") as err:
+        parse_matrix(text)
+    assert err.value.line == line
+
+
+def test_carriage_return_in_id_is_rejected():
+    for cls, values in ((ExpressionMatrix, [[1.0], [2.0]]), (DiscretizedMatrix, [[1], [0]])):
+        with pytest.raises(ValidationError, match="gene id holds a carriage return"):
+            cls(("g\r1", "g2"), ("t1",), values)
+        with pytest.raises(ValidationError, match="condition id holds a carriage return"):
+            cls(("g1", "g2"), ("t\r1",), values)
+    with pytest.raises(ValidationError, match=r"^gene id holds a carriage return: 'g\\r1'$"):
+        parse_matrix('id\tt1\n"g\r1"\t1\ng2\t2\n')
+    with pytest.raises(ValidationError, match="^condition id holds a carriage return"):
+        parse_matrix('id\t"t\r1"\ng1\t1\n')
+    assert ExpressionMatrix((1, 2), ("t1",), [[1.0], [2.0]]).gene_ids == (1, 2)
 
 
 _ID = st.text(alphabet='ab,\t"\n é', min_size=1, max_size=4).filter(lambda s: s == s.strip())

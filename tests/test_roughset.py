@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from genecluster import (
     DiscretizedMatrix,
@@ -28,6 +30,7 @@ from helpers import (
     oracle_dependency,
     oracle_mean_dependency,
     oracle_positive_region,
+    oracle_reduct_dict,
     oracle_usqr_reduct,
     random_table_values,
     table_ids,
@@ -184,6 +187,28 @@ def test_usqr_reaches_full_dependency_exactly():
             prev = r.mean_dependency
 
 
+@st.composite
+def _code_tables(draw):
+    n_obj = draw(st.integers(1, 9))
+    n_attr = draw(st.integers(1, 6))
+    cells = st.integers(0, draw(st.integers(0, 3)))
+    rows = st.lists(cells, min_size=n_attr, max_size=n_attr)
+    return make_table(np.array(draw(st.lists(rows, min_size=n_obj, max_size=n_obj))))
+
+
+@given(_code_tables())
+def test_usqr_reaches_full_dependency_and_every_round_gains(t):
+    reduct = usqr_reduct(t)
+    full = mean_dependency(t, t.attribute_ids)
+    assert reduct.final_mean_dependency == full
+    assert mean_dependency(t, reduct.selected) == full
+    prev = mean_dependency(t, ())
+    for r in reduct.trace:
+        assert r.mean_dependency > prev
+        assert not r.forced
+        prev = r.mean_dependency
+
+
 def test_usqr_two_identical_columns_picks_first():
     values = np.array([[0, 0], [1, 1], [2, 2], [0, 0]])
     t = make_table(values)
@@ -250,7 +275,10 @@ def _oracle_case_tables(count, seed):
 def test_usqr_matches_per_candidate_oracle_on_random_tables():
     sizes = set()
     for t in _oracle_case_tables(400, seed=110):
-        assert usqr_reduct(t) == oracle_usqr_reduct(t)
+        got, want = usqr_reduct(t), oracle_usqr_reduct(t)
+        assert got == want
+        assert got.to_dict() == oracle_reduct_dict(want)
+        assert got.to_dict(False) == oracle_reduct_dict(want, False)
         sizes.add(t.n_objects)
     assert 1 in sizes and max(sizes) > 8
 
@@ -264,7 +292,10 @@ def test_usqr_matches_per_candidate_oracle_on_synthetic_800x20():
     t = _synthetic_table(800, 20, seed=1)
     got, want = usqr_reduct(t), oracle_usqr_reduct(t)
     assert got == want
-    assert got.to_dict() == want.to_dict()
+    assert got.to_dict() == oracle_reduct_dict(want)
+    assert sum(len(r.candidate_scores) for r in got.trace) == sum(
+        t.n_attributes - i for i in range(len(got.trace))
+    )
 
 
 @pytest.mark.parametrize("tile", [1, 3])
@@ -312,7 +343,7 @@ def test_slim_trace_never_formats_candidate_scores():
     # scores that cannot be formatted: the slim dict must not touch them
     unscored = roughset.Reduct(
         reduct.selected,
-        tuple(dataclasses.replace(r, candidate_scores=None) for r in reduct.trace),
+        tuple(dataclasses.replace(r, candidates=None, totals=None) for r in reduct.trace),
         reduct.final_mean_dependency,
     )
     assert unscored.to_dict(include_candidate_scores=False) == reduct.to_dict(
