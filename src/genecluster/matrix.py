@@ -28,10 +28,24 @@ MISSING_TOKENS = frozenset({"", "na", "nan"})
 
 MISSING_OUTPUT_TOKEN = "NA"
 
+# The missing tokens that float() rejects, in every case, mapped to one it
+# reads as NaN; float() already reads every spelling of "nan".
+_MISSING_AS_NAN = {"": "nan", "na": "nan", "nA": "nan", "Na": "nan", "NA": "nan"}
+
+# The characters a written number cell can hold, including its NA token.
+_NUMBER_CHARS = frozenset("0123456789.+-eEinfaNA")
+
 
 def _check_ids(labels, kind):
-    r"""Ids are unique and hold no "\r": a csv writer leaves "\r" unquoted and
-    a text-mode read turns a quoted one into "\n", so no file keeps it."""
+    r"""Ids are unique and hold no "\r": a csv writer leaves "\r" unquoted, so
+    no file keeps it."""
+    try:
+        plain = len(set(labels)) == len(labels) and "\r" not in "".join(labels)
+    except TypeError:  # an id that is not a str
+        plain = False
+    if plain:
+        return
+    # name the first offending id
     seen = set()
     for lab in labels:
         if lab in seen:
@@ -171,8 +185,10 @@ def parse_matrix(text, orientation=GENES_AS_ROWS, delimiter="\t"):
     canonical genes-by-conditions layout.  The orientation is never guessed.
 
     Rows are read one at a time into a preallocated float64 array, each row
-    converted by one float() pass; a row that pass rejects (a missing token,
-    a bad cell) is converted again cell by cell, which names the bad cell.
+    converted by one float() pass; a row that pass rejects is tried again
+    with its bare missing tokens read as "nan", and a row that still fails
+    (a padded missing token, a bad cell) is converted cell by cell, which
+    names the bad cell.
     """
     if orientation not in ORIENTATIONS:
         raise ValidationError(f"unknown orientation: {orientation!r}")
@@ -198,13 +214,19 @@ def parse_matrix(text, orientation=GENES_AS_ROWS, delimiter="\t"):
             row_id = row[0].strip()
             if not row_id:
                 raise ParseError("empty row id", line=line_no)
+            cells = row[1:]
             try:
-                values[len(row_ids)] = list(map(float, row[1:]))
+                values[len(row_ids)] = list(map(float, cells))
             except ValueError:
-                values[len(row_ids)] = [
-                    _parse_cell(field, line_no, col_ids[j])
-                    for j, field in enumerate(row[1:])
-                ]
+                try:
+                    values[len(row_ids)] = list(
+                        map(float, map(_MISSING_AS_NAN.get, cells, cells))
+                    )
+                except ValueError:
+                    values[len(row_ids)] = [
+                        _parse_cell(field, line_no, col_ids[j])
+                        for j, field in enumerate(cells)
+                    ]
             row_ids.append(row_id)
     except ParseError:
         # a csv error later in the text takes precedence, as it did when every
@@ -244,10 +266,16 @@ def _infer_delimiter(path):
 
 
 def read_matrix(path, orientation=GENES_AS_ROWS, delimiter=None):
-    """Read a matrix file; delimiter comes from the extension unless given."""
+    """Read a matrix file; delimiter comes from the extension unless given.
+
+    The file's characters reach parse_matrix as they are: no newline
+    translation, so a quoted "\r" stays one and a line ending in a bare "\r"
+    is a csv error.
+    """
     if delimiter is None:
         delimiter = _infer_delimiter(path)
-    return parse_matrix(Path(path).read_text(), orientation, delimiter)
+    with open(path, newline="") as f:
+        return parse_matrix(f.read(), orientation, delimiter)
 
 
 def matrix_to_text(m, delimiter="\t"):
@@ -255,22 +283,26 @@ def matrix_to_text(m, delimiter="\t"):
 
     Floats use repr so that a write/read round trip reproduces the exact
     values, and a missing entry is written as NA; discretized matrices are
-    written as bare integers.  Each row is formatted by one map over its
-    Python values.
+    written as bare integers.  Each row's cells come from one C call,
+    str(row.tolist()), and are joined by the delimiter without csv: a number
+    cell needs quoting only when the delimiter is a character numbers are
+    written with.  The header, an id that needs quoting, and every row under
+    such a delimiter go through csv.writer.
     """
     out = io.StringIO()
     writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
     writer.writerow(["id", *m.condition_ids])
-    if isinstance(m, DiscretizedMatrix):
-        for gid, row in zip(m.gene_ids, m.values):
-            writer.writerow([gid, *map(str, row.tolist())])
-        return out.getvalue()
+    quote_cells = delimiter in _NUMBER_CHARS
+    quoting_chars = frozenset((delimiter, '"', "\n"))
     has_nan = np.isnan(m.values).any(axis=1)
     for gid, row, nan in zip(m.gene_ids, m.values, has_nan):
-        cells = map(repr, row.tolist())
+        cells = str(row.tolist())[1:-1]
         if nan:
-            cells = (MISSING_OUTPUT_TOKEN if c == "nan" else c for c in cells)
-        writer.writerow([gid, *cells])
+            cells = cells.replace("nan", MISSING_OUTPUT_TOKEN)
+        if quote_cells or not isinstance(gid, str) or not quoting_chars.isdisjoint(gid):
+            writer.writerow([gid, *cells.split(", ")])
+        else:
+            out.write(f"{gid}{delimiter}{cells.replace(', ', delimiter)}\n")
     return out.getvalue()
 
 

@@ -140,12 +140,46 @@ def test_run_oversized_cell_is_input_error(tmp_path, capsys):
 
 
 def test_run_carriage_return_in_id_is_input_error(tmp_path, capsys):
-    # a text-mode read turns the "\r" into a line break, so the row splits
+    # the file is read without newline translation, as parse_matrix sees it
     path = tmp_path / "cr.tsv"
-    path.write_bytes(b"id\tt1\ng\r1\t1\ng2\t2\n")
-    code = main(["run", "--input", str(path), "--no-select", "--k", "1"])
+    for data, message in (
+        (b"id\tt1\ng\r1\t1\ng2\t2\n", "line 2: new-line character seen in unquoted field"),
+        (b'id\tt1\n"g\r1"\t1\ng2\t2\n', "gene id holds a carriage return: 'g\\r1'"),
+        (b"id\tt1\rg1\t1\rg2\t2\r", "line 1: new-line character seen in unquoted field"),
+    ):
+        path.write_bytes(data)
+        code = main(["run", "--input", str(path), "--no-select", "--k", "1"])
+        assert code == 3
+        assert f"stage 'parse': {message}" in capsys.readouterr().err
+
+
+def test_run_reads_crlf_file_like_lf_file(generated, tmp_path):
+    matrix, _ = generated
+    crlf = tmp_path / "crlf.tsv"
+    crlf.write_bytes(matrix.read_bytes().replace(b"\n", b"\r\n"))
+    for path, out in ((matrix, "lf"), (crlf, "crlf")):
+        code = main(["run", "--input", str(path), "--k", "3", "--out", str(tmp_path / out)])
+        assert code == 0
+    names = sorted(p.name for p in (tmp_path / "lf").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "crlf").iterdir())
+    for name in names:
+        lf, crlf_out = ((tmp_path / d / name).read_bytes() for d in ("lf", "crlf"))
+        if name == "report.json":
+            lf, crlf_out = (
+                {k: v for k, v in json.loads(b).items() if k != "timings"} for b in (lf, crlf_out)
+            )
+        assert lf == crlf_out, name
+
+
+def test_run_duplicate_gene_in_genes_as_columns_header_is_input_error(tmp_path, capsys):
+    path = tmp_path / "flipped.tsv"
+    path.write_text("id\tg1\tg2\tg1\nt1\t1\t2\t3\nt2\t4\t5\t6\n")
+    code = main([
+        "run", "--input", str(path), "--orientation", "genes-as-columns",
+        "--no-select", "--k", "1",
+    ])
     assert code == 3
-    assert "stage 'parse': line 2: expected 2 fields, got 1" in capsys.readouterr().err
+    assert "stage 'parse': duplicate gene id: 'g1'" in capsys.readouterr().err
 
 
 def test_run_empty_gene_id_is_input_error(tmp_path, capsys):

@@ -149,6 +149,8 @@ def test_parse_allows_empty_corner_label():
 def test_parse_duplicate_gene_id():
     with pytest.raises(ValidationError):
         parse_matrix("id\tt1\ng1\t1\ng1\t2\n")
+    with pytest.raises(ValidationError, match="^duplicate gene id: 'g1'$"):
+        parse_matrix("id\tg1\tg2\tg1\nt1\t1\t2\t3\n", GENES_AS_COLUMNS)
 
 
 def test_parse_duplicate_condition_id():
@@ -533,7 +535,10 @@ def test_carriage_return_in_id_is_rejected():
     assert ExpressionMatrix((1, 2), ("t1",), [[1.0], [2.0]]).gene_ids == (1, 2)
 
 
-_ID = st.text(alphabet='ab,\t"\n é', min_size=1, max_size=4).filter(lambda s: s == s.strip())
+_ID = st.text(alphabet='ab,\t"\n é.-e1N', min_size=1, max_size=4).filter(lambda s: s == s.strip())
+# tab and comma, a space, and characters that numbers are written with, so
+# that number cells get quoted too
+_DELIMITERS = st.sampled_from(["\t", ",", " ", ".", "-", "e", "1", "N", "a"])
 _CELL = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308]),
@@ -552,8 +557,7 @@ def _matrices(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(m=_matrices(), orientation=st.sampled_from(ORIENTATIONS),
-       delimiter=st.sampled_from(["\t", ","]))
+@given(m=_matrices(), orientation=st.sampled_from(ORIENTATIONS), delimiter=_DELIMITERS)
 def test_text_round_trip_matches_oracles(m, orientation, delimiter):
     text = matrix_to_text(m, delimiter)
     assert text == oracle_matrix_to_text(m, delimiter)
@@ -570,13 +574,29 @@ def test_text_round_trip_matches_oracles(m, orientation, delimiter):
 
 
 @settings(max_examples=100, deadline=None)
-@given(m=_matrices(), delimiter=st.sampled_from(["\t", ","]))
+@given(m=_matrices(), delimiter=_DELIMITERS)
 def test_discretized_text_matches_oracle(m, delimiter):
     codes = np.sign(np.nan_to_num(m.values)).astype(np.int8)
     d = DiscretizedMatrix(m.gene_ids, m.condition_ids, codes)
     text = matrix_to_text(d, delimiter)
     assert text == oracle_matrix_to_text(d, delimiter)
     assert (parse_discretized(text, delimiter).values == codes).all()
+
+
+_TOKEN = st.one_of(
+    st.sampled_from(["NA", "na", "nA", "Na", "", " NA ", " ", "nan", "-nan", "NaN", "bogus"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(_TOKEN, min_size=3, max_size=3), min_size=1, max_size=6),
+       orientation=st.sampled_from(ORIENTATIONS))
+def test_missing_and_bad_cell_outcomes_match_oracle(rows, orientation):
+    text = "id\tt1\tt2\tt3\n" + "".join(
+        f"g{i}\t" + "\t".join(row) + "\n" for i, row in enumerate(rows)
+    )
+    _assert_outcome_matches_oracle(text, orientation)
 
 
 def _wide_synthetic_matrix():
