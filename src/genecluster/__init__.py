@@ -12,7 +12,6 @@ from .clustering import (
     Dataset,
     cluster_pipeline,
     ecia_initialize,
-    euclidean_distance,
     kmeans,
     random_initialize,
 )
@@ -27,7 +26,6 @@ from .errors import (
 from .evaluation import (
     SilhouetteReport,
     compact_cluster,
-    pairwise_distances,
     silhouette_scores,
 )
 from .matrix import (
@@ -38,7 +36,6 @@ from .matrix import (
     drop_incomplete_genes,
     matrix_to_text,
     min_max_normalize,
-    parse_discretized,
     parse_matrix,
     read_matrix,
     subset_genes,
@@ -100,15 +97,12 @@ __all__ = [
     "discretize",
     "drop_incomplete_genes",
     "ecia_initialize",
-    "euclidean_distance",
     "generate_synthetic",
     "indiscernibility_partition",
     "kmeans",
     "matrix_to_text",
     "mean_dependency",
     "min_max_normalize",
-    "pairwise_distances",
-    "parse_discretized",
     "parse_matrix",
     "positive_region",
     "random_initialize",

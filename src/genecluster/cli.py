@@ -18,6 +18,8 @@ import sys
 import typing
 from pathlib import Path
 
+import numpy as np
+
 from .clustering import MODES, STRATEGIES, Centroids, ClusterAssignment, Dataset
 from .errors import (
     ConfigError,
@@ -143,22 +145,39 @@ def _load_assignment(path):
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: {err}") from err
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path}: assignment file must hold a JSON object")
     for key in ("point_ids", "labels", "nearest_dist", "centroids"):
         if key not in payload:
             raise ParseError(f"{path}: assignment file lacks {key!r}")
     return payload
 
 
+def _assignment_array(path, payload, key, dtype=None):
+    try:
+        return np.array(payload[key], dtype=dtype)
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"{path}: bad {key!r}: {err}") from err
+
+
 def cmd_evaluate(args):
     check_delimiter(args.delimiter)
     matrix = read_matrix(args.data, GENES_AS_ROWS, args.delimiter)
-    payload = _load_assignment(args.assignment)
-    if list(matrix.gene_ids) != list(payload["point_ids"]):
+    path = args.assignment
+    payload = _load_assignment(path)
+    if payload["point_ids"] != list(matrix.gene_ids):
         raise ValidationError("assignment point ids do not match the data matrix rows")
+    labels = _assignment_array(path, payload, "labels")
+    # np.array would truncate a label of 0.7 to 0 under an integer dtype
+    if labels.ndim != 1 or (labels.size and labels.dtype.kind not in "iu"):
+        raise ValidationError(f"{path}: 'labels' must be a list of integers")
     assignment = ClusterAssignment(
-        labels=payload["labels"],
-        nearest_dist=payload["nearest_dist"],
-        centroids=Centroids(payload["centroids"], payload.get("provenance", "loaded")),
+        labels=labels,
+        nearest_dist=_assignment_array(path, payload, "nearest_dist", float),
+        centroids=Centroids(
+            _assignment_array(path, payload, "centroids", float),
+            payload.get("provenance", "loaded"),
+        ),
         iterations=payload.get("iterations", 0),
         converged=payload.get("converged", True),
         wcss=payload.get("wcss", 0.0),

@@ -23,15 +23,6 @@ MODES = ("exact", "shortcut")
 STRATEGIES = ("ecia", "random")
 
 
-def euclidean_distance(x, y):
-    """Plain Euclidean distance between two equal-length vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return float(np.sqrt(((x - y) ** 2).sum()))
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Points to cluster; ids name the points (genes)."""

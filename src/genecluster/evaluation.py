@@ -37,12 +37,6 @@ class SilhouetteReport:
         }
 
 
-def pairwise_distances(points):
-    """Full n x n distance matrix, built in row blocks (block_distances)."""
-    points = np.asarray(points, dtype=float)
-    return np.concatenate([dist for _, dist in block_distances(points, points)])
-
-
 def silhouette_scores(d, a):
     """Score every point of a clustered dataset.
 

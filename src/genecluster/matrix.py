@@ -250,17 +250,6 @@ def parse_matrix(text, orientation=GENES_AS_ROWS, delimiter="\t"):
     return ExpressionMatrix(col_ids, tuple(row_ids), values.T)
 
 
-def parse_discretized(text, delimiter="\t"):
-    """Parse delimited text whose entries must all be -1, 0 or +1."""
-    m = parse_matrix(text, GENES_AS_ROWS, delimiter)
-    if not m.is_complete:
-        raise ValidationError("discretized matrix cannot have missing entries")
-    codes = m.values
-    if not (codes == np.rint(codes)).all():
-        raise ValidationError("discretized entries must be integers")
-    return DiscretizedMatrix(m.gene_ids, m.condition_ids, codes.astype(np.int8))
-
-
 def _infer_delimiter(path):
     return "," if Path(path).suffix.lower() == ".csv" else "\t"
 

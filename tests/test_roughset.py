@@ -1,10 +1,11 @@
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genecluster import (
@@ -31,6 +32,7 @@ from helpers import (
     oracle_mean_dependency,
     oracle_positive_region,
     oracle_reduct_dict,
+    oracle_round_totals,
     oracle_usqr_reduct,
     random_table_values,
     table_ids,
@@ -304,6 +306,53 @@ def test_usqr_independent_of_candidate_tile(monkeypatch, tile):
     want = [usqr_reduct(t) for t in tables]
     monkeypatch.setattr(roughset, "_CANDIDATE_TILE", tile)
     assert [usqr_reduct(t) for t in tables] == want
+
+
+@st.composite
+def _round_inputs(draw):
+    """Codes, a dense partition and candidates in table order for one round.
+
+    Widths on both sides of each 64-bit word boundary occur, and partitions
+    run from one block through random refinements to all singletons.
+    """
+    n_obj = draw(st.integers(1, 70))
+    n_attr = draw(st.sampled_from([63, 64, 65, 128, 129]) | st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = rng.integers(0, draw(st.integers(1, 6)), size=(n_obj, n_attr))
+    shape = draw(st.sampled_from(["one block", "refined", "singletons"]))
+    group = np.zeros(n_obj, dtype=np.int64)
+    if shape == "singletons":
+        group = np.arange(n_obj)
+    elif shape == "refined":
+        for _ in range(draw(st.integers(1, 4))):
+            by_column = draw(st.booleans())
+            labels = codes[:, rng.integers(n_attr)] if by_column else rng.integers(0, 3, n_obj)
+            group = roughset._refine(group, labels)
+    count = draw(st.integers(1, n_attr))
+    candidates = np.sort(rng.permutation(n_attr)[:count])
+    return codes, group, candidates
+
+
+@settings(max_examples=150, deadline=None)
+@given(_round_inputs(), st.sampled_from([1, 3, roughset._CANDIDATE_TILE]))
+def test_round_totals_match_float_product_oracle(case, tile):
+    codes, group, candidates = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roughset, "_CANDIDATE_TILE", tile)
+        got = roughset._round_totals(codes, group, candidates)
+    assert got.dtype == np.int64
+    assert got.tolist() == oracle_round_totals(codes, group, candidates).tolist()
+
+
+def test_usqr_memory_bounded_at_4000_genes():
+    t = _synthetic_table(4000, 20, seed=1)
+    tracemalloc.start()
+    try:
+        usqr_reduct(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 def test_table_codes_rank_each_column():
