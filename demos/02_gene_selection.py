@@ -61,8 +61,7 @@ def show_reduct():
     print(f"selected {len(reduct.selected)} of {genes} genes: {reduct.selected}")
     print("round by round:")
     for r in reduct.trace:
-        note = "  (forced, no strict improvement)" if r.forced else ""
-        print(f"  +{r.attribute}: mean dependency {r.mean_dependency}{note}")
+        print(f"  +{r.attribute}: mean dependency {r.mean_dependency}")
     kept = select_genes(norm, disc)
     print(f"matrix after selection: {kept.n_genes} x {kept.n_conditions}")
 

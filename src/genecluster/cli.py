@@ -35,9 +35,11 @@ from .pipeline import (
     PipelineConfig,
     check_delimiter,
     cluster_label,
+    cluster_table,
     parse_formats,
     run_many,
     run_pipeline,
+    silhouette_rows,
     write_json,
     write_silhouette,
 )
@@ -162,6 +164,7 @@ def _assignment_array(path, payload, key, dtype=None):
 
 def cmd_evaluate(args):
     check_delimiter(args.delimiter)
+    formats = parse_formats(args.format)
     matrix = read_matrix(args.data, GENES_AS_ROWS, args.delimiter)
     path = args.assignment
     payload = _load_assignment(path)
@@ -184,13 +187,10 @@ def cmd_evaluate(args):
         history=(),
     )
     report = silhouette_scores(Dataset.from_matrix(matrix), assignment)
-    print("cluster\tsize\tmean_silhouette")
-    for c, size, mean in report.per_cluster:
-        print(f"{cluster_label(c)}\t{size}\t{mean:.6f}")
+    print(cluster_table(silhouette_rows(report), "{:.6f}".format))
     print(f"compact cluster: {cluster_label(report.compact_cluster)}")
     print(f"global mean silhouette: {report.global_mean:.6f}")
     if args.out is not None:
-        formats = parse_formats(args.format)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_silhouette(out, report, formats)

@@ -164,6 +164,9 @@ class PipelineReport:
     def to_json(self, include_timings=True):
         return json_text(self.to_dict(include_timings)) + "\n"
 
+    def cluster_rows(self):
+        return [(c.label, c.size, c.mean_silhouette) for c in self.clusters]
+
     def summary_text(self):
         lines = [
             f"input shape: {self.shape_before[0]} genes x {self.shape_before[1]} conditions",
@@ -181,10 +184,7 @@ class PipelineReport:
             f" iterations={self.iterations}"
             f" converged={'yes' if self.converged else 'no'} wcss={self.wcss:.6f}"
         )
-        lines.append("cluster\tsize\tmean_silhouette")
-        for c in self.clusters:
-            mean = "" if c.mean_silhouette is None else f"{c.mean_silhouette:.6f}"
-            lines.append(f"{c.label}\t{c.size}\t{mean}")
+        lines.append(cluster_table(self.cluster_rows(), "{:.6f}".format))
         if self.compact_cluster is not None:
             lines.append(f"compact cluster: {self.compact_cluster}")
             lines.append(f"global mean silhouette: {self.global_mean_silhouette:.6f}")
@@ -199,6 +199,23 @@ def _shape_dict(shape):
 
 def cluster_label(index):
     return f"C{index + 1}"
+
+
+def silhouette_rows(sil):
+    """(label, size, mean silhouette) of every non-empty cluster of a report."""
+    return [(cluster_label(c), size, mean) for c, size, mean in sil.per_cluster]
+
+
+def cluster_table(rows, number_format):
+    """The cluster/size/mean_silhouette table of (label, size, mean or None)
+    rows, one line each; number_format writes a mean (repr or "{:.6f}".format)
+    and a missing mean is left empty."""
+    lines = ["cluster\tsize\tmean_silhouette"]
+    lines += [
+        f"{label}\t{size}\t{'' if mean is None else number_format(mean)}"
+        for label, size, mean in rows
+    ]
+    return "\n".join(lines)
 
 
 def _run_stage(name, timings, fn, *args, **kwargs):
@@ -400,11 +417,8 @@ def write_silhouette(out, sil, formats):
     if "json" in formats:
         write_json(out / "silhouette.json", sil.to_dict())
     if "tsv" in formats:
-        rows = ["cluster\tsize\tmean_silhouette"]
-        rows += [
-            f"{cluster_label(c)}\t{size}\t{mean!r}" for c, size, mean in sil.per_cluster
-        ]
-        write_new_file(out / "silhouette.tsv", "\n".join(rows) + "\n")
+        text = cluster_table(silhouette_rows(sil), repr)
+        write_new_file(out / "silhouette.tsv", text + "\n")
 
 
 def _write_artifacts(config, report, normalized, disc, selected, reduct, assignment, sil):
@@ -428,11 +442,8 @@ def _write_artifacts(config, report, normalized, disc, selected, reduct, assignm
         for gid, lab, nd in zip(selected.gene_ids, assignment.labels, assignment.nearest_dist):
             rows.append(f"{gid}\t{cluster_label(int(lab))}\t{float(nd)!r}")
         write_new_file(out / "assignment.tsv", "\n".join(rows) + "\n")
-        rows = ["cluster\tsize\tmean_silhouette"]
-        for c in report.clusters:
-            mean = "" if c.mean_silhouette is None else repr(c.mean_silhouette)
-            rows.append(f"{c.label}\t{c.size}\t{mean}")
-        write_new_file(out / "report.tsv", "\n".join(rows) + "\n")
+        text = cluster_table(report.cluster_rows(), repr)
+        write_new_file(out / "report.tsv", text + "\n")
 
 
 @dataclass

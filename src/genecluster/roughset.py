@@ -1,8 +1,8 @@
 """Rough set machinery and unsupervised quick-reduct gene selection.
 
 Conditions act as objects and genes as categorical attributes.  Dependency
-degrees are kept as exact fractions so the stopping rule of the reduct
-search is an exact equality, never a float comparison.
+degrees are exact fractions; the reduct search compares their integer
+numerators over one denominator, never floats.
 """
 
 from __future__ import annotations
@@ -111,16 +111,18 @@ def _group_ids(table, attr_positions):
     return inv.reshape(-1)
 
 
-def _pure_counts(table, group_ids):
-    """For every attribute y: number of objects whose block is constant in y."""
-    order = np.argsort(group_ids, kind="stable")
-    codes = table._codes[order]
-    g = group_ids[order]
-    starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
-    lo = np.minimum.reduceat(codes, starts, axis=0)
-    hi = np.maximum.reduceat(codes, starts, axis=0)
-    sizes = np.diff(np.append(starts, len(g)))
-    return sizes @ (lo == hi)
+def _pure(codes, group):
+    """objects x attributes: is the object's block constant in the attribute?
+
+    group holds dense block ids; each block's min and max of every column
+    are taken over a sort by block and gathered back to its members.
+    """
+    order = np.argsort(group, kind="stable")
+    sorted_codes = codes[order]
+    starts = np.flatnonzero(np.diff(group[order], prepend=-1))
+    lo = np.minimum.reduceat(sorted_codes, starts, axis=0)
+    hi = np.maximum.reduceat(sorted_codes, starts, axis=0)
+    return (lo == hi)[group]
 
 
 def indiscernibility_partition(table, attrs):
@@ -144,13 +146,7 @@ def positive_region(table, attrs, target):
     """
     g = _group_ids(table, table.attribute_indices(attrs))
     (y,) = table.attribute_indices([target])
-    y_codes = table._codes[:, y]
-    region = []
-    for gid in np.unique(g):
-        members = np.flatnonzero(g == gid)
-        if np.all(y_codes[members] == y_codes[members[0]]):
-            region.extend(int(i) for i in members)
-    return frozenset(region)
+    return frozenset(np.flatnonzero(_pure(table._codes[:, [y]], g)[:, 0]).tolist())
 
 
 def dependency(table, attrs, target):
@@ -158,32 +154,33 @@ def dependency(table, attrs, target):
     return Fraction(len(positive_region(table, attrs, target)), table.n_objects)
 
 
-def _mean_dependency_from_groups(table, group_ids):
-    total = int(_pure_counts(table, group_ids).sum())
-    return Fraction(total, table.n_objects * table.n_attributes)
-
-
 def mean_dependency(table, attrs):
     """Average dependency of every attribute (including members of attrs) on attrs."""
-    return _mean_dependency_from_groups(
-        table, _group_ids(table, table.attribute_indices(attrs))
-    )
+    pure = _pure(table._codes, _group_ids(table, table.attribute_indices(attrs)))
+    return Fraction(int(pure.sum()), table.n_objects * table.n_attributes)
 
 
 @dataclass(frozen=True)
 class ReductRound:
     """One accepted round of the greedy search.
 
-    The score of candidate candidates[i] is its pure total totals[i] over
-    denominator; the ratios are made only when the trace is written.
+    total is the pure total the round reaches and totals[i] that of
+    candidate candidates[i], all over denominator; the ratios are made only
+    when the trace is written.
     """
 
     attribute: str
-    mean_dependency: Fraction
-    forced: bool
+    total: int
     candidates: tuple
     totals: tuple
     denominator: int
+    # every round strictly gains (usqr_reduct); perfbench/spans.py counts
+    # forced rounds, and the report schema and pins hold "forced": false
+    forced = False
+
+    @property
+    def mean_dependency(self):
+        return Fraction(self.total, self.denominator)
 
     @property
     def candidate_scores(self):
@@ -212,7 +209,8 @@ class ReductRound:
 class Reduct:
     selected: tuple
     trace: tuple
-    final_mean_dependency: Fraction
+    # the search ends only when every object's block is pure in every attribute
+    final_mean_dependency = Fraction(1)
 
     def to_dict(self, include_candidate_scores=True):
         return {
@@ -300,24 +298,16 @@ def usqr_reduct(table):
 
     Starting from the empty set, each round adds the candidate attribute
     maximizing the mean dependency of all attributes on the enlarged set;
-    ties go to the earliest attribute in table order.  When no candidate
-    improves the mean (a plateau) the best tied candidate is still added,
-    flagged as forced, so the search always progresses.  The search stops
-    as soon as the mean dependency equals that of the full attribute set,
-    which takes at most one round per attribute.
+    ties go to the earliest attribute in table order.  The search stops
+    when the mean dependency is 1, that of the full attribute set: its
+    blocks of identical rows are constant in every attribute.  Refining by
+    a candidate that is not constant in every current block makes it pure
+    for more objects, and if every remaining candidate were constant in
+    every block the partition would already be the full one; so each round
+    strictly gains, and there is at most one round per attribute.
 
-    The full attribute set splits the objects into blocks of identical
-    rows, and each such block is constant in every attribute, so the target
-    is always a mean dependency of 1: a pure total equal to the denominator
-    n_objects * n_attributes.  Refining by a candidate that is not constant
-    in every current block makes it pure for more objects, and if every
-    remaining candidate were constant in every block the partition would
-    already be the full one; so each round strictly gains and forced is
-    always False.  The flag stays in each round because perfbench/spans.py
-    counts forced rounds.
-
-    Every mean dependency has that one denominator, so the search compares
-    integer pure totals, and each round keeps its candidates' totals as
+    Every mean dependency has the one denominator n_objects * n_attributes,
+    so the search compares integer pure totals and each round keeps them as
     integers.  Each round scores all remaining candidates in one pass of
     _round_totals.  For C objects and G attributes a round costs
     O(C * B * G + C * G * G / 64) operations in O(C * B * G / 64 +
@@ -328,26 +318,24 @@ def usqr_reduct(table):
     n_obj, n_attr = codes.shape
     denominator = n_obj * n_attr
     group = np.zeros(n_obj, dtype=np.int64)
-    current = int(_pure_counts(table, group).sum())
+    current = int(_pure(codes, group).sum())
     remaining = np.arange(n_attr)
     trace = []
     while current != denominator:
         totals = _round_totals(codes, group, remaining)
         best = int(np.argmax(totals))  # the first maximum: earliest in table order
         j = int(remaining[best])
-        forced = int(totals[best]) == current
         current = int(totals[best])
         trace.append(
             ReductRound(
-                table.attribute_ids[j], Fraction(current, denominator), forced,
+                table.attribute_ids[j], current,
                 tuple(map(table.attribute_ids.__getitem__, remaining.tolist())),
                 tuple(totals.tolist()), denominator,
             )
         )
         group = _refine(group, codes[:, j])
         remaining = np.delete(remaining, best)
-    selected = tuple(r.attribute for r in trace)
-    return Reduct(selected, tuple(trace), Fraction(current, denominator))
+    return Reduct(tuple(r.attribute for r in trace), tuple(trace))
 
 
 def build_table(d):

@@ -1,8 +1,10 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles recompute expected values from first principles (pairwise loops,
-exhaustive subset search) and never touch the library's own partition or
-distance machinery, so agreement is meaningful.
+per-block loops, exhaustive subset search) and never touch the library's own
+partition or distance machinery, so agreement is meaningful: the rough-set
+oracles import only the result containers Reduct and ReductRound, and they
+read a table's values, never its integer codes.
 """
 
 import csv
@@ -23,13 +25,7 @@ from genecluster.matrix import (
     _parse_cell,
     parse_matrix,
 )
-from genecluster.roughset import (
-    Reduct,
-    ReductRound,
-    _group_ids,
-    _mean_dependency_from_groups,
-    _refine,
-)
+from genecluster.roughset import Reduct, ReductRound
 
 
 def bump_matrix(genes=300, conditions=17):
@@ -236,25 +232,40 @@ def oracle_round_totals(codes, group, candidates):
     return totals
 
 
+def _oracle_refine(group, column):
+    """Dense block ids of the partition group refined by one column's values."""
+    pairs = np.stack([group, column], axis=1)
+    return np.unique(pairs, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+def _oracle_pure_total(values, group):
+    """Sum over blocks of |block| times the attributes equal to the first member's."""
+    total = 0
+    for b in np.unique(group):
+        block = values[group == b]
+        total += len(block) * int((block == block[0]).all(axis=0).sum())
+    return total
+
+
 def oracle_usqr_reduct(table):
     """Greedy forward attribute selection by mean dependency, one candidate at a time.
 
     This is the per-candidate loop the library's round scorer replaced; it
-    refines the partition by each candidate and sums its pure counts.
+    refines the partition by each candidate and sums its pure counts, all
+    over the table's values rather than the library's codes.
 
     Starting from the empty set, each round adds the candidate attribute
     maximizing the mean dependency of all attributes on the enlarged set;
-    ties go to the earliest attribute in table order.  When no candidate
-    improves the mean (a plateau) the best tied candidate is still added,
-    flagged as forced, so the search always progresses.  The search stops
-    as soon as the mean dependency equals that of the full attribute set,
-    which takes at most one round per attribute.
+    ties go to the earliest attribute in table order.  The search stops as
+    soon as the pure total equals that of the partition by every attribute.
     """
+    values = table.values
     n_attr = table.n_attributes
     denominator = table.n_objects * n_attr
-    target = _mean_dependency_from_groups(table, _group_ids(table, range(n_attr)))
+    _, full = np.unique(values, axis=0, return_inverse=True)
+    target = _oracle_pure_total(values, full.reshape(-1))
     group = np.zeros(table.n_objects, dtype=np.int64)
-    current = _mean_dependency_from_groups(table, group)
+    current = _oracle_pure_total(values, group)
     selected = []
     remaining = list(range(n_attr))
     trace = []
@@ -264,25 +275,22 @@ def oracle_usqr_reduct(table):
         best_score = None
         scores = []
         for j in remaining:
-            g = _refine(group, table._codes[:, j])
-            score = _mean_dependency_from_groups(table, g)
+            g = _oracle_refine(group, values[:, j])
+            score = _oracle_pure_total(values, g)
             scores.append((table.attribute_ids[j], score))
             if best_score is None or score > best_score:
                 best_pos, best_group, best_score = j, g, score
-        forced = best_score == current
         selected.append(table.attribute_ids[best_pos])
         remaining.remove(best_pos)
         group = best_group
         current = best_score
         trace.append(
             ReductRound(
-                table.attribute_ids[best_pos], current, forced,
-                tuple(a for a, _ in scores),
-                tuple(int(s * denominator) for _, s in scores),
-                denominator,
+                table.attribute_ids[best_pos], current,
+                tuple(a for a, _ in scores), tuple(s for _, s in scores), denominator,
             )
         )
-    return Reduct(tuple(selected), tuple(trace), current)
+    return Reduct(tuple(selected), tuple(trace))
 
 
 def _oracle_fraction_dict(f):

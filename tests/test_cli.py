@@ -524,6 +524,28 @@ def test_evaluate_rejects_mistyped_assignment(generated, tmp_path, capsys, edit,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("with_out", [False, True], ids=["no-out", "out"])
+def test_evaluate_rejects_bad_format_before_reading(generated, tmp_path, capsys, with_out):
+    matrix, _ = generated
+    rundir = tmp_path / "run"
+    assert main([
+        "run", "--input", str(matrix), "--no-select", "--k", "4",
+        "--out", str(rundir),
+    ]) == 0
+    capsys.readouterr()
+    evaldir = tmp_path / "ev"
+    code = main([
+        "evaluate", "--data", str(rundir / "normalized.tsv"),
+        "--assignment", str(rundir / "assignment.json"), "--format", "bogus",
+        *(["--out", str(evaldir)] if with_out else []),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "formats must be a non-empty subset" in captured.err
+    assert captured.out == ""
+    assert not evaldir.exists()
+
+
 def test_evaluate_json_only_output(generated, tmp_path, capsys):
     matrix, _ = generated
     rundir = tmp_path / "run"

@@ -140,6 +140,42 @@ def test_positive_region_matches_oracle_on_random_tables():
         assert mean_dependency(t, attr_ids) == oracle_mean_dependency(values, attrs)
 
 
+@st.composite
+def _purity_cases(draw):
+    """A table, an attribute subset in table order and a target attribute.
+
+    Constant columns, duplicated columns and duplicated rows are planted
+    often, so blocks of every size occur under every subset size.
+    """
+    n_obj = draw(st.integers(1, 30))
+    n_attr = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(0, draw(st.integers(1, 6)), size=(n_obj, n_attr))
+    kind = rng.random(n_attr)
+    constant = kind < draw(st.sampled_from([0.0, 0.2, 0.5]))
+    values[:, constant] = rng.integers(0, 6, size=int(constant.sum()))
+    duplicate = kind > 1 - draw(st.sampled_from([0.0, 0.2, 0.5]))
+    values[:, duplicate] = values[:, rng.integers(0, n_attr, size=int(duplicate.sum()))]
+    copies = rng.random(n_obj) < draw(st.sampled_from([0.0, 0.3, 0.7]))
+    values[copies] = values[rng.integers(0, n_obj, size=int(copies.sum()))]
+    attrs = sorted(rng.permutation(n_attr)[: draw(st.integers(0, n_attr))].tolist())
+    return values, attrs, draw(st.integers(0, n_attr - 1))
+
+
+@settings(deadline=None)
+@given(_purity_cases())
+def test_purity_rule_matches_oracle_on_wide_tables(case):
+    values, attrs, y = case
+    t = make_table(values)
+    attr_ids = [t.attribute_ids[a] for a in attrs]
+    rows = values.tolist()
+    assert positive_region(t, attr_ids, t.attribute_ids[y]) == (
+        oracle_positive_region(rows, attrs, y)
+    )
+    assert dependency(t, attr_ids, t.attribute_ids[y]) == oracle_dependency(rows, attrs, y)
+    assert mean_dependency(t, attr_ids) == oracle_mean_dependency(rows, attrs)
+
+
 def test_positive_region_monotone_in_attrs():
     rng = np.random.default_rng(101)
     for _ in range(30):
@@ -393,7 +429,6 @@ def test_slim_trace_never_formats_candidate_scores():
     unscored = roughset.Reduct(
         reduct.selected,
         tuple(dataclasses.replace(r, candidates=None, totals=None) for r in reduct.trace),
-        reduct.final_mean_dependency,
     )
     assert unscored.to_dict(include_candidate_scores=False) == reduct.to_dict(
         include_candidate_scores=False
