@@ -76,7 +76,7 @@ class Centroids:
         return self.vectors.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IterationStats:
     """Per-pass audit record; iteration 0 is the initial assignment."""
 
@@ -84,7 +84,8 @@ class IterationStats:
     wcss: float
     label_changes: int
     shortcut_kept: int
-    # shortcut mode only: (dist to own new centroid, stored nearest, kept) per point
+    # shortcut mode only: three read-only arrays over the points (distance to
+    # the own new centroid, nearest distance stored before the pass, kept)
     shortcut_audit: tuple | None
 
 
@@ -144,16 +145,10 @@ def ecia_initialize(d, k):
     shifted = pts - gmin if gmin < 0 else pts
     dist = np.sqrt((shifted**2).sum(axis=1))
     order = np.argsort(dist, kind="stable")
-    n = d.n_points
-    base, extra = divmod(n, k)
-    centers = []
-    start = 0
-    for j in range(k):
-        size = base + (1 if j < extra else 0)
-        run = order[start : start + size]
-        centers.append(pts[run[size // 2]])
-        start += size
-    return Centroids(np.array(centers), "ecia")
+    base, extra = divmod(d.n_points, k)
+    sizes = base + (np.arange(k) < extra)
+    # a run's middle point sits half its size past the run's start
+    return Centroids(pts[order[np.cumsum(sizes) - sizes + sizes // 2]], "ecia")
 
 
 # Byte budget of one block of distance temporaries in block_distances (the
@@ -227,10 +222,12 @@ def kmeans(d, init, mode="exact", max_iters=100):
 
     Each iteration recomputes centroids from the current labels (empty
     clusters keep their centroid) and reassigns points; it stops when a
-    pass changes no label, or after max_iters.  In shortcut mode a point
-    whose distance to its own cluster's new centroid did not grow keeps its
-    label without scanning the other centroids; only points that drifted
-    away are fully reassigned, which can diverge from exact Lloyd.
+    pass changes no label, or after max_iters.  Both modes share one pass
+    and differ only in which points it rescans.  Exact mode rescans every
+    point.  Shortcut mode (the keep-if-not-worse rule of Fahim et al., 2006)
+    lets a point whose distance to its own cluster's new centroid did not
+    grow keep its label and rescans only the others, which can diverge from
+    exact Lloyd; each pass records that test in IterationStats.shortcut_audit.
     """
     if mode not in MODES:
         raise ValidationError(f"unknown mode: {mode!r}")
@@ -247,45 +244,31 @@ def kmeans(d, init, mode="exact", max_iters=100):
     history = [
         IterationStats(0, _wcss(points, centroids, labels), len(points), 0, None)
     ]
-    iterations = 0
-    converged = False
     for it in range(1, max_iters + 1):
-        iterations = it
         centroids = _update(points, labels, centroids)
-        if mode == "exact":
-            new_labels, new_nearest = _assign(points, centroids)
-            kept = 0
-            audit = None
-        else:
+        new_labels, new_nearest = labels.copy(), nearest.copy()
+        rescan, kept, audit = slice(None), 0, None  # exact: every point, as a view
+        if mode == "shortcut":
             own = np.sqrt(((points - centroids[labels]) ** 2).sum(axis=1))
             keep = own <= nearest
-            new_labels = labels.copy()
-            new_nearest = nearest.copy()
             new_nearest[keep] = own[keep]
-            if not keep.all():
-                moved = ~keep
-                new_labels[moved], new_nearest[moved] = _assign(
-                    points[moved], centroids
-                )
-            kept = int(keep.sum())
-            audit = tuple(
-                (float(o), float(prev), bool(kpt))
-                for o, prev, kpt in zip(own, nearest, keep)
-            )
+            rescan, kept, audit = ~keep, int(keep.sum()), (own, nearest, keep)
+            for array in audit:  # nothing writes to the stored nearest after this
+                array.setflags(write=False)
+        new_labels[rescan], new_nearest[rescan] = _assign(points[rescan], centroids)
         changes = int((new_labels != labels).sum())
         labels, nearest = new_labels, new_nearest
         history.append(
             IterationStats(it, _wcss(points, centroids, labels), changes, kept, audit)
         )
         if changes == 0:
-            converged = True
             break
     return ClusterAssignment(
         labels=labels,
         nearest_dist=nearest,
         centroids=Centroids(centroids, init.provenance),
-        iterations=iterations,
-        converged=converged,
+        iterations=len(history) - 1,
+        converged=history[-1].label_changes == 0,
         wcss=history[-1].wcss,
         history=tuple(history),
     )

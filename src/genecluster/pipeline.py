@@ -71,6 +71,8 @@ class PipelineConfig:
             raise ConfigError("the random strategy requires --seed")
         if self.strategy == "ecia" and self.seed is not None:
             raise ConfigError("--seed applies only to the random strategy")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         check_delimiter(self.delimiter)
         _check_formats(self.formats)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ValidationError
@@ -25,8 +27,10 @@ def generate_synthetic(
         raise ValidationError(
             f"planted_clusters={planted_clusters} must be between 1 and genes={genes}"
         )
-    if noise < 0:
-        raise ValidationError("noise must be non-negative")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ValidationError(f"noise must be a finite number >= 0, got {noise}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if not 0 <= missing_fraction < 1:
         raise ValidationError("missing_fraction must lie in [0, 1)")
     rng = np.random.default_rng(seed)

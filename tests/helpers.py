@@ -147,6 +147,69 @@ def oracle_assign(points, centroids):
     return labels, nearest
 
 
+def oracle_kmeans(points, init, mode="exact", max_iters=100):
+    """K-Means over oracle_assign with its own centroid update and WCSS.
+
+    This is the two-branch loop the library's single pass replaced.  Exact
+    mode reassigns every point; shortcut mode lets a point keep its label
+    when its distance to its own new centroid is <= its stored nearest
+    distance and reassigns only the others.  A shortcut pass audits each
+    point as a (distance to own new centroid, stored nearest, kept) tuple.
+
+    Returns (labels, nearest, centroids, wcss, iterations, converged,
+    history), where history holds (iteration, wcss, label_changes,
+    shortcut_kept, audit) per pass and entry 0 is the initial assignment.
+    """
+    points = np.asarray(points, dtype=float)
+    centroids = np.array(init, dtype=float)
+
+    def update(labels):
+        new = centroids.copy()
+        for j in range(len(centroids)):
+            members = labels == j
+            if members.any():
+                new[j] = points[members].mean(axis=0)
+        return new  # an emptied cluster keeps its previous centroid
+
+    def wcss(labels):
+        return float(((points - centroids[labels]) ** 2).sum())
+
+    labels, nearest = oracle_assign(points, centroids)
+    history = [(0, wcss(labels), len(points), 0, None)]
+    iterations = 0
+    converged = False
+    for it in range(1, max_iters + 1):
+        iterations = it
+        centroids = update(labels)
+        if mode == "exact":
+            new_labels, new_nearest = oracle_assign(points, centroids)
+            kept = 0
+            audit = None
+        else:
+            own = np.sqrt(((points - centroids[labels]) ** 2).sum(axis=1))
+            keep = own <= nearest
+            new_labels = labels.copy()
+            new_nearest = nearest.copy()
+            new_nearest[keep] = own[keep]
+            if not keep.all():
+                moved = ~keep
+                new_labels[moved], new_nearest[moved] = oracle_assign(
+                    points[moved], centroids
+                )
+            kept = int(keep.sum())
+            audit = tuple(
+                (float(o), float(prev), bool(kpt))
+                for o, prev, kpt in zip(own, nearest, keep)
+            )
+        changes = int((new_labels != labels).sum())
+        labels, nearest = new_labels, new_nearest
+        history.append((it, wcss(labels), changes, kept, audit))
+        if changes == 0:
+            converged = True
+            break
+    return labels, nearest, centroids, history[-1][1], iterations, converged, history
+
+
 def oracle_silhouette_scores(d, a):
     """Silhouette report from the full n x n distance matrix.
 

@@ -34,13 +34,20 @@ def test_generate_writes_matrix_and_labels(generated, capsys):
     assert lines[1].split("\t")[1] in {"0", "1", "2", "3"}
 
 
-def test_generate_rejects_bad_parameters(tmp_path, capsys):
+@pytest.mark.parametrize("bad", [
+    pytest.param(["--clusters", "9"], id="too-many-clusters"),
+    pytest.param(["--clusters", "2", "--seed", "-1"], id="negative-seed"),
+    pytest.param(["--clusters", "2", "--noise", "nan"], id="nan-noise"),
+    pytest.param(["--clusters", "2", "--noise", "inf"], id="infinite-noise"),
+])
+def test_generate_rejects_bad_parameters(tmp_path, capsys, bad):
     code = main([
-        "generate", "--genes", "3", "--conditions", "4", "--clusters", "9",
+        "generate", "--genes", "3", "--conditions", "4", *bad,
         "--out", str(tmp_path / "m.tsv"),
     ])
     assert code == 2
     assert "genecluster: error:" in capsys.readouterr().err
+    assert not (tmp_path / "m.tsv").exists()
 
 
 def test_generate_run_evaluate_round_trip(generated, tmp_path, capsys):
@@ -94,6 +101,17 @@ def test_run_seed_with_deterministic_strategy_is_config_error(generated, capsys)
     code = main(["run", "--input", str(matrix), "--no-select", "--seed", "4"])
     assert code == 2
     assert "--seed applies only" in capsys.readouterr().err
+
+
+def test_run_negative_seed_is_config_error(tmp_path, capsys):
+    # refused before the input is read, so a missing file does not matter
+    code = main([
+        "run", "--input", str(tmp_path / "nowhere.tsv"), "--strategy", "random",
+        "--seed", "-1", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_missing_file_is_input_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from genecluster import (
 )
 from genecluster import clustering
 
-from helpers import oracle_assign, oracle_euclidean_distance
+from helpers import oracle_assign, oracle_euclidean_distance, oracle_kmeans
 
 
 def dataset_1d(values):
@@ -248,7 +249,7 @@ def test_shortcut_kept_labels_satisfy_recorded_test():
     audited = 0
     for h in a.history[1:]:
         assert h.shortcut_audit is not None
-        for own, stored, kept in h.shortcut_audit:
+        for own, stored, kept in zip(*h.shortcut_audit):
             if kept:
                 assert own <= stored
                 audited += 1
@@ -369,7 +370,62 @@ def test_kmeans_independent_of_block_size(monkeypatch, mode):
     assert got.labels.tolist() == want.labels.tolist()
     assert got.nearest_dist.tolist() == want.nearest_dist.tolist()
     assert got.wcss == want.wcss
-    assert got.history == want.history
+    for g, w in zip(got.history, want.history, strict=True):
+        assert (g.iteration, g.wcss, g.label_changes, g.shortcut_kept) == (
+            w.iteration, w.wcss, w.label_changes, w.shortcut_kept
+        )
+        if w.shortcut_audit is None:
+            assert g.shortcut_audit is None
+        else:
+            for ga, wa in zip(g.shortcut_audit, w.shortcut_audit, strict=True):
+                assert ga.tolist() == wa.tolist()
+
+
+@st.composite
+def _kmeans_cases(draw):
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 6))
+    # coarse coordinates give duplicate points, tied distances and emptied clusters
+    coords = st.integers(-3, 3).map(lambda v: v / 2) | st.floats(-10, 10).map(
+        lambda v: round(v, 1)
+    )
+    points = draw(st.lists(st.lists(coords, min_size=m, max_size=m), min_size=n, max_size=n))
+    d = Dataset(tuple(f"p{i}" for i in range(n)), points)
+    k = draw(st.integers(1, n))
+    if draw(st.booleans()):
+        init = ecia_initialize(d, k)
+    else:
+        init = random_initialize(d, k, seed=draw(st.integers(0, 2**32 - 1)))
+    max_iters = draw(st.none() | st.integers(1, 5))  # None: the default
+    kwargs = {"mode": draw(st.sampled_from(clustering.MODES))}
+    if max_iters is not None:
+        kwargs["max_iters"] = max_iters
+    block_bytes = draw(st.sampled_from([1, clustering._BLOCK_BYTES]))
+    return d, init, kwargs, block_bytes
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kmeans_cases())
+def test_kmeans_matches_oracle(case):
+    d, init, kwargs, block_bytes = case
+    with mock.patch.object(clustering, "_BLOCK_BYTES", block_bytes):
+        got = kmeans(d, init, **kwargs)
+    labels, nearest, centroids, wcss, iterations, converged, history = oracle_kmeans(
+        d.points, init.vectors, **kwargs
+    )
+    assert got.labels.tolist() == labels.tolist()
+    assert got.nearest_dist.tolist() == nearest.tolist()
+    assert got.centroids.vectors.tolist() == centroids.tolist()
+    assert (got.wcss, got.iterations, got.converged) == (wcss, iterations, converged)
+    for h, (it, h_wcss, changes, kept, audit) in zip(got.history, history, strict=True):
+        assert (h.iteration, h.wcss, h.label_changes, h.shortcut_kept) == (
+            it, h_wcss, changes, kept
+        )
+        if audit is None:
+            assert h.shortcut_audit is None
+        else:
+            assert not any(a.flags.writeable for a in h.shortcut_audit)
+            assert list(zip(*(a.tolist() for a in h.shortcut_audit))) == list(audit)
 
 
 def test_assign_memory_stays_within_block_budget():
