@@ -12,7 +12,6 @@ from genecluster import (
     ExpressionMatrix,
     InformationTable,
     NormalizationParams,
-    build_table,
     dependency,
     discretize,
     indiscernibility_partition,
@@ -20,7 +19,6 @@ from genecluster import (
     min_max_normalize,
     positive_region,
     select_genes,
-    usqr_reduct,
 )
 
 
@@ -55,14 +53,12 @@ def show_reduct():
         values,
     )
     norm = min_max_normalize(m, NormalizationParams(0.0, 1.0))
-    disc = discretize(norm)
-    reduct = usqr_reduct(build_table(disc))
+    reduct, kept = select_genes(norm, discretize(norm))
     print(f"\nfull mean dependency: {reduct.final_mean_dependency}")
     print(f"selected {len(reduct.selected)} of {genes} genes: {reduct.selected}")
     print("round by round:")
     for r in reduct.trace:
         print(f"  +{r.attribute}: mean dependency {r.mean_dependency}")
-    kept = select_genes(norm, disc)
     print(f"matrix after selection: {kept.n_genes} x {kept.n_conditions}")
 
 

@@ -19,7 +19,7 @@ def hand_case():
     # two tight pairs far apart; every score should sit close to 1
     d = Dataset(("p0", "p1", "p2", "p3"), np.array([[0.0], [1.0], [10.0], [11.0]]))
     a = kmeans(d, ecia_initialize(d, 2))
-    r = silhouette_scores(d, a)
+    r = silhouette_scores(d, a.labels, a.k)
     print("two pairs at 0,1 and 10,11:")
     for pid, cluster, score in r.per_point:
         print(f"  {pid}: cluster {cluster}, s = {score:.6f}")
@@ -36,7 +36,7 @@ def overlapping_vs_separated():
         )
         d = Dataset(tuple(f"g{i}" for i in range(50)), pts)
         a = kmeans(d, ecia_initialize(d, 2))
-        r = silhouette_scores(d, a)
+        r = silhouette_scores(d, a.labels, a.k)
         print(f"\n{label} blobs: global mean silhouette {r.global_mean:.3f}")
 
 

@@ -42,7 +42,7 @@ def main():
         # deterministic seeding means repeated runs cannot drift
         print("\n== three repeated runs ==")
         result = run_many(PipelineConfig(str(matrix_path), select=False, k=5, runs=3))
-        print(f"\nall reports identical: {result.identical}")
+        print(f"\nall reports identical: {result.summary['identical']}")
 
 
 if __name__ == "__main__":

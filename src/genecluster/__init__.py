@@ -50,6 +50,7 @@ from .pipeline import (
     cluster_label,
     run_many,
     run_pipeline,
+    select_genes,
 )
 from .roughset import (
     InformationTable,
@@ -60,7 +61,6 @@ from .roughset import (
     indiscernibility_partition,
     mean_dependency,
     positive_region,
-    select_genes,
     usqr_reduct,
 )
 from .synthetic import generate_synthetic

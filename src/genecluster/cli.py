@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import MODES, STRATEGIES, Centroids, ClusterAssignment, Dataset
+from .clustering import MODES, STRATEGIES, Dataset
 from .errors import (
     ConfigError,
     GeneClusterError,
@@ -174,19 +174,11 @@ def cmd_evaluate(args):
     # np.array would truncate a label of 0.7 to 0 under an integer dtype
     if labels.ndim != 1 or (labels.size and labels.dtype.kind not in "iu"):
         raise ValidationError(f"{path}: 'labels' must be a list of integers")
-    assignment = ClusterAssignment(
-        labels=labels,
-        nearest_dist=_assignment_array(path, payload, "nearest_dist", float),
-        centroids=Centroids(
-            _assignment_array(path, payload, "centroids", float),
-            payload.get("provenance", "loaded"),
-        ),
-        iterations=payload.get("iterations", 0),
-        converged=payload.get("converged", True),
-        wcss=payload.get("wcss", 0.0),
-        history=(),
-    )
-    report = silhouette_scores(Dataset.from_matrix(matrix), assignment)
+    _assignment_array(path, payload, "nearest_dist", float)  # read only to check it
+    centroids = _assignment_array(path, payload, "centroids", float)
+    if centroids.ndim != 2 or not len(centroids):
+        raise ValidationError("centroids must be a non-empty 2-d array")
+    report = silhouette_scores(Dataset.from_matrix(matrix), labels, len(centroids))
     print(cluster_table(silhouette_rows(report), "{:.6f}".format))
     print(f"compact cluster: {cluster_label(report.compact_cluster)}")
     print(f"global mean silhouette: {report.global_mean:.6f}")
@@ -290,11 +282,6 @@ def main(argv=None):
     except (ParseError, ValidationError, OSError) as err:
         _fail(err)
         return 3
-    except PipelineError as err:
-        _fail(err)
-        if isinstance(err.cause, (ParseError, ValidationError, OSError)):
-            return 3
-        return 4
     except GeneClusterError as err:
         _fail(err)
         return 4

@@ -37,8 +37,8 @@ class SilhouetteReport:
         }
 
 
-def silhouette_scores(d, a):
-    """Score every point of a clustered dataset.
+def silhouette_scores(d, labels, k):
+    """Score every point of dataset d under a labeling into clusters 0..k-1.
 
     Requires at least two non-empty clusters, otherwise no between-cluster
     distance exists and the score is undefined.
@@ -56,10 +56,9 @@ def silhouette_scores(d, a):
     sequential np.add.accumulate), which fixes every score's bits whatever
     the block size.
     """
-    labels = a.labels
+    labels = np.asarray(labels)
     if len(labels) != d.n_points:
         raise ValidationError("assignment does not label every point")
-    k = a.k
     if labels.min() < 0 or labels.max() >= k:
         raise ValidationError(f"assignment labels must lie in 0..{k - 1}")
     sizes = np.bincount(labels, minlength=k)

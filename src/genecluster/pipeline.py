@@ -18,7 +18,13 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .clustering import MODES, STRATEGIES, Dataset, cluster_pipeline
-from .errors import ConfigError, GeneClusterError, PipelineError, ValidationError
+from .errors import (
+    ConfigError,
+    EmptyMatrixError,
+    GeneClusterError,
+    PipelineError,
+    ValidationError,
+)
 from .evaluation import silhouette_scores
 from .matrix import (
     GENES_AS_ROWS,
@@ -32,7 +38,7 @@ from .matrix import (
     write_matrix,
     write_new_file,
 )
-from .roughset import build_table, kept_genes, usqr_reduct
+from .roughset import build_table, usqr_reduct
 
 FORMATS = ("json", "tsv")
 
@@ -114,12 +120,8 @@ class ClusterRow:
 class PipelineReport:
     shape_before: tuple
     shape_after: tuple
-    selection_enabled: bool
-    reduct: object  # Reduct or None
-    k: int
-    strategy: str
-    seed: int | None
-    mode: str
+    config: PipelineConfig
+    reduct: object  # Reduct, or None when selection is off
     provenance: str
     iterations: int
     converged: bool
@@ -131,8 +133,8 @@ class PipelineReport:
     timings: dict
 
     def to_dict(self, include_timings=True):
-        selection = {"enabled": self.selection_enabled}
-        if self.reduct is not None:
+        selection = {"enabled": self.config.select}
+        if self.config.select:
             rd = self.reduct.to_dict(include_candidate_scores=False)
             selection["selected_gene_ids"] = rd["selected"]
             selection["rounds"] = rd["rounds"]
@@ -142,10 +144,10 @@ class PipelineReport:
             "shape_after": _shape_dict(self.shape_after),
             "selection": selection,
             "clustering": {
-                "k": self.k,
-                "strategy": self.strategy,
-                "seed": self.seed,
-                "mode": self.mode,
+                "k": self.config.k,
+                "strategy": self.config.strategy,
+                "seed": self.config.seed,
+                "mode": self.config.mode,
                 "provenance": self.provenance,
                 "iterations": self.iterations,
                 "converged": self.converged,
@@ -173,7 +175,7 @@ class PipelineReport:
         lines = [
             f"input shape: {self.shape_before[0]} genes x {self.shape_before[1]} conditions",
         ]
-        if self.selection_enabled:
+        if self.config.select:
             dep = self.reduct.final_mean_dependency
             lines.append(
                 f"selection: kept {self.shape_after[0]} genes"
@@ -182,7 +184,8 @@ class PipelineReport:
         else:
             lines.append("selection: off")
         lines.append(
-            f"clustering: k={self.k} strategy={self.strategy} mode={self.mode}"
+            f"clustering: k={self.config.k} strategy={self.config.strategy}"
+            f" mode={self.config.mode}"
             f" iterations={self.iterations}"
             f" converged={'yes' if self.converged else 'no'} wcss={self.wcss:.6f}"
         )
@@ -220,6 +223,21 @@ def cluster_table(rows, number_format):
     return "\n".join(lines)
 
 
+def select_genes(m, d):
+    """Quick reduct of a discretized matrix, and the normalized matrix m
+    restricted to the genes it keeps, in m's row order.
+
+    The layers are reached through this module's names, so a caller can
+    time build_table, usqr_reduct and subset_genes by rebinding them here.
+    """
+    if m.gene_ids != d.gene_ids or m.condition_ids != d.condition_ids:
+        raise ValidationError("matrix and discretized matrix must share ids")
+    reduct = usqr_reduct(build_table(d))
+    if not reduct.selected:
+        raise EmptyMatrixError("gene selection kept no genes (no informative attribute)")
+    return reduct, subset_genes(m, reduct.selected)
+
+
 def _run_stage(name, timings, fn, *args, **kwargs):
     start = time.perf_counter()
     try:
@@ -247,13 +265,7 @@ def run_pipeline(config):
     disc = _run_stage("discretize", timings, discretize, normalized)
 
     if config.select:
-        # called through this module's names: perfbench/spans.py times each of
-        # build_table, usqr_reduct and subset_genes by rebinding them here
-        def _select():
-            reduct = usqr_reduct(build_table(disc))
-            return reduct, subset_genes(normalized, kept_genes(reduct))
-
-        reduct, selected = _run_stage("select", timings, _select)
+        reduct, selected = _run_stage("select", timings, select_genes, normalized, disc)
     else:
         reduct, selected = None, normalized
         timings["select"] = 0.0
@@ -270,7 +282,7 @@ def run_pipeline(config):
     def _evaluate():
         if int((assignment.sizes > 0).sum()) < 2:
             return None
-        return silhouette_scores(Dataset.from_matrix(selected), assignment)
+        return silhouette_scores(Dataset.from_matrix(selected), assignment.labels, config.k)
 
     sil = _run_stage("evaluate", timings, _evaluate)
 
@@ -284,12 +296,8 @@ def run_pipeline(config):
     report = PipelineReport(
         shape_before=raw.shape,
         shape_after=selected.shape,
-        selection_enabled=config.select,
+        config=config,
         reduct=reduct,
-        k=config.k,
-        strategy=config.strategy,
-        seed=config.seed,
-        mode=config.mode,
         provenance=assignment.centroids.provenance,
         iterations=assignment.iterations,
         converged=assignment.converged,
@@ -303,7 +311,7 @@ def run_pipeline(config):
     if config.output_dir is not None:
         _run_stage(
             "write", timings, _write_artifacts,
-            config, report, normalized, disc, selected, reduct, assignment, sil,
+            report, normalized, disc, selected, assignment, sil,
         )
     print(report.summary_text())
     return report
@@ -423,7 +431,8 @@ def write_silhouette(out, sil, formats):
         write_new_file(out / "silhouette.tsv", text + "\n")
 
 
-def _write_artifacts(config, report, normalized, disc, selected, reduct, assignment, sil):
+def _write_artifacts(report, normalized, disc, selected, assignment, sil):
+    config = report.config
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     want_json = "json" in config.formats
@@ -433,7 +442,7 @@ def _write_artifacts(config, report, normalized, disc, selected, reduct, assignm
     if config.select:
         write_matrix(selected, out / "selected.tsv")
         if want_json:
-            write_json(out / "reduct.json", reduct.to_dict())
+            write_json(out / "reduct.json", report.reduct.to_dict())
     if want_json:
         write_json(out / "assignment.json", _assignment_dict(selected, assignment))
         write_new_file(out / "report.json", report.to_json())
@@ -451,7 +460,6 @@ def _write_artifacts(config, report, normalized, disc, selected, reduct, assignm
 @dataclass
 class MultiRunResult:
     reports: tuple
-    identical: bool | None  # meaningful for the deterministic strategy only
     summary: dict
 
 
@@ -483,15 +491,12 @@ def run_many(config):
         "wcss": [r.wcss for r in reports],
         "global_mean_silhouette": [r.global_mean_silhouette for r in reports],
     }
-    identical = None
     if config.strategy == "ecia":
-        blobs = {r.to_json(include_timings=False) for r in reports}
-        identical = len(blobs) == 1
-        summary["identical"] = identical
-        if not identical:
+        if len({r.to_json(include_timings=False) for r in reports}) != 1:
             raise PipelineError(
                 "runs", AssertionError("deterministic runs produced differing reports")
             )
+        summary["identical"] = True
     else:
         summary["seeds"] = [config.seed + i for i in range(config.runs)]
         summary["wcss_variance"] = _variance(summary["wcss"])
@@ -499,4 +504,4 @@ def run_many(config):
         summary["global_mean_silhouette_variance"] = (
             _variance(sils) if len(sils) == config.runs else None
         )
-    return MultiRunResult(tuple(reports), identical, summary)
+    return MultiRunResult(tuple(reports), summary)

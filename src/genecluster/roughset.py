@@ -12,8 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EmptyMatrixError, ValidationError
-from .matrix import ExpressionMatrix, subset_genes
+from .errors import ValidationError
 
 
 def _encode_columns(values):
@@ -343,20 +342,3 @@ def build_table(d):
     and genes the attributes (the matrix transposed)."""
     return InformationTable(d.condition_ids, d.gene_ids, d.values.T)
 
-
-def kept_genes(reduct):
-    """Gene ids a reduct keeps; EmptyMatrixError when it keeps none."""
-    if not reduct.selected:
-        raise EmptyMatrixError("gene selection kept no genes (no informative attribute)")
-    return reduct.selected
-
-
-def select_genes(m, d):
-    """Restrict a normalized matrix to the genes its discretized form keeps.
-
-    The reduct is computed on the discretized table; the surviving genes are
-    returned as rows of the continuous matrix m, in m's original row order.
-    """
-    if m.gene_ids != d.gene_ids or m.condition_ids != d.condition_ids:
-        raise ValidationError("matrix and discretized matrix must share ids")
-    return subset_genes(m, kept_genes(usqr_reduct(build_table(d))))

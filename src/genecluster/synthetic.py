@@ -40,6 +40,8 @@ def generate_synthetic(
     values = centers[labels]
     if noise > 0:
         values = values + rng.normal(0.0, noise, size=(genes, conditions))
+        if not np.isfinite(values).all():
+            raise ValidationError(f"noise={noise} makes some values overflow to infinity")
     else:
         values = values.copy()
     if missing_fraction > 0:

@@ -210,7 +210,7 @@ def oracle_kmeans(points, init, mode="exact", max_iters=100):
     return labels, nearest, centroids, history[-1][1], iterations, converged, history
 
 
-def oracle_silhouette_scores(d, a):
+def oracle_silhouette_scores(d, labels, k):
     """Silhouette report from the full n x n distance matrix.
 
     This is the unblocked silhouette the library's row-block version
@@ -218,10 +218,9 @@ def oracle_silhouette_scores(d, a):
     a column gather of the distance matrix, which numpy adds one member at
     a time in ascending point order.  Reports must match it bit for bit.
     """
-    labels = a.labels
+    labels = np.asarray(labels)
     if len(labels) != d.n_points:
         raise ValidationError("assignment does not label every point")
-    k = a.k
     members = [np.flatnonzero(labels == j) for j in range(k)]
     occupied = [j for j in range(k) if len(members[j])]
     if len(occupied) < 2:

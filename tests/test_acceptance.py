@@ -34,7 +34,6 @@ from genecluster import (
     usqr_reduct,
     write_matrix,
 )
-from genecluster.clustering import Centroids, ClusterAssignment
 from genecluster.roughset import InformationTable
 
 from helpers import (
@@ -187,16 +186,7 @@ def test_criterion_6_lloyd_monotonicity():
 
 def _silhouette_of(points, labels, k):
     d = Dataset(tuple(f"p{i}" for i in range(len(points))), points)
-    a = ClusterAssignment(
-        labels=np.asarray(labels, dtype=np.int64),
-        nearest_dist=np.zeros(len(labels)),
-        centroids=Centroids(np.zeros((k, 1)), "ecia"),
-        iterations=0,
-        converged=True,
-        wcss=0.0,
-        history=(),
-    )
-    return silhouette_scores(d, a)
+    return silhouette_scores(d, labels, k)
 
 
 @criterion(7, "silhouettes bounded, oracle-exact, scale invariant; hand case verified")

@@ -39,6 +39,7 @@ def test_generate_writes_matrix_and_labels(generated, capsys):
     pytest.param(["--clusters", "2", "--seed", "-1"], id="negative-seed"),
     pytest.param(["--clusters", "2", "--noise", "nan"], id="nan-noise"),
     pytest.param(["--clusters", "2", "--noise", "inf"], id="infinite-noise"),
+    pytest.param(["--clusters", "2", "--noise", "1e308"], id="overflowing-noise"),
 ])
 def test_generate_rejects_bad_parameters(tmp_path, capsys, bad):
     code = main([

@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genecluster import (
-    Centroids,
-    ClusterAssignment,
     Dataset,
     NormalizationParams,
     SilhouetteReport,
@@ -33,19 +31,6 @@ def make_dataset(points):
     return Dataset(tuple(f"p{i}" for i in range(len(points))), points)
 
 
-def make_assignment(labels, k):
-    labels = np.asarray(labels, dtype=np.int64)
-    return ClusterAssignment(
-        labels=labels,
-        nearest_dist=np.zeros(len(labels)),
-        centroids=Centroids(np.zeros((k, 1)), "ecia"),
-        iterations=0,
-        converged=True,
-        wcss=0.0,
-        history=(),
-    )
-
-
 def test_pairwise_distances_hand_case():
     pts = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
     dist = oracle_pairwise_distances(pts)
@@ -58,7 +43,7 @@ def test_pairwise_distances_hand_case():
 
 def test_two_pairs_hand_values():
     d = make_dataset([0.0, 1.0, 10.0, 11.0])
-    r = silhouette_scores(d, make_assignment([0, 0, 1, 1], 2))
+    r = silhouette_scores(d, [0, 0, 1, 1], 2)
     outer = 9.5 / 10.5  # edge points: a = 1, b = 10.5
     inner = 8.5 / 9.5  # inner points: a = 1, b = 9.5
     expected = [outer, inner, inner, outer]
@@ -72,35 +57,35 @@ def test_two_pairs_hand_values():
 
 def test_singleton_cluster_scores_zero():
     d = make_dataset([0.0, 1.0, 9.0])
-    r = silhouette_scores(d, make_assignment([0, 0, 1], 2))
+    r = silhouette_scores(d, [0, 0, 1], 2)
     assert r.per_point[2][2] == 0.0
     assert r.per_cluster[1] == (1, 1, 0.0)
 
 
 def test_coincident_points_score_zero_not_nan():
     d = make_dataset([0.0, 0.0, 5.0, 5.0])
-    r = silhouette_scores(d, make_assignment([0, 0, 1, 1], 2))
+    r = silhouette_scores(d, [0, 0, 1, 1], 2)
     scores = [s for _, _, s in r.per_point]
     # a = 0, b = 5 for every point: perfectly separated duplicates
     assert scores == [1.0, 1.0, 1.0, 1.0]
     d0 = make_dataset([0.0, 0.0, 0.0, 0.0])
-    r0 = silhouette_scores(d0, make_assignment([0, 0, 1, 1], 2))
+    r0 = silhouette_scores(d0, [0, 0, 1, 1], 2)
     assert [s for _, _, s in r0.per_point] == [0.0, 0.0, 0.0, 0.0]
 
 
 def test_single_cluster_is_an_error():
     d = make_dataset([0.0, 1.0, 2.0])
     with pytest.raises(ValueError):
-        silhouette_scores(d, make_assignment([0, 0, 0], 1))
+        silhouette_scores(d, [0, 0, 0], 1)
     # k = 2 declared but only one cluster occupied: still undefined
     with pytest.raises(ValueError):
-        silhouette_scores(d, make_assignment([1, 1, 1], 2))
+        silhouette_scores(d, [1, 1, 1], 2)
 
 
 def test_label_count_mismatch_rejected():
     d = make_dataset([0.0, 1.0, 2.0])
     with pytest.raises(ValidationError):
-        silhouette_scores(d, make_assignment([0, 1], 2))
+        silhouette_scores(d, [0, 1], 2)
 
 
 def test_matches_naive_oracle_on_random_data():
@@ -113,7 +98,7 @@ def test_matches_naive_oracle_on_random_data():
         labels = rng.integers(0, k, size=n)
         labels[:k] = np.arange(k)  # keep every cluster occupied
         d = make_dataset(pts)
-        r = silhouette_scores(d, make_assignment(labels, k))
+        r = silhouette_scores(d, labels, k)
         got = [s for _, _, s in r.per_point]
         assert np.allclose(got, oracle_silhouette(pts, labels), atol=1e-12)
 
@@ -124,7 +109,7 @@ def test_scores_stay_in_unit_interval():
         pts = rng.normal(size=(30, 3))
         labels = rng.integers(0, 4, size=30)
         labels[:4] = np.arange(4)
-        r = silhouette_scores(make_dataset(pts), make_assignment(labels, 4))
+        r = silhouette_scores(make_dataset(pts), labels, 4)
         scores = np.array([s for _, _, s in r.per_point])
         assert (scores >= -1.0 - 1e-12).all()
         assert (scores <= 1.0 + 1e-12).all()
@@ -136,10 +121,9 @@ def test_scale_invariance():
     pts = rng.normal(size=(25, 4))
     labels = rng.integers(0, 3, size=25)
     labels[:3] = np.arange(3)
-    a = make_assignment(labels, 3)
-    base = silhouette_scores(make_dataset(pts), a)
-    scaled = silhouette_scores(make_dataset(pts * 1000.0), a)
-    shifted = silhouette_scores(make_dataset(pts + 17.0), a)
+    base = silhouette_scores(make_dataset(pts), labels, 3)
+    scaled = silhouette_scores(make_dataset(pts * 1000.0), labels, 3)
+    shifted = silhouette_scores(make_dataset(pts + 17.0), labels, 3)
     for other in (scaled, shifted):
         assert np.allclose(
             [s for _, _, s in base.per_point],
@@ -155,9 +139,9 @@ def test_point_order_permutation_invariance():
     labels = rng.integers(0, 3, size=15)
     labels[:3] = np.arange(3)
     perm = rng.permutation(15)
-    r1 = silhouette_scores(make_dataset(pts), make_assignment(labels, 3))
+    r1 = silhouette_scores(make_dataset(pts), labels, 3)
     d2 = Dataset(tuple(f"p{i}" for i in perm), pts[perm])
-    r2 = silhouette_scores(d2, make_assignment(labels[perm], 3))
+    r2 = silhouette_scores(d2, labels[perm], 3)
     by_id_1 = {pid: s for pid, _, s in r1.per_point}
     by_id_2 = {pid: s for pid, _, s in r2.per_point}
     for pid in by_id_1:
@@ -193,7 +177,7 @@ def test_compact_cluster_empty_report_rejected():
 
 def test_report_to_dict_round_trip():
     d = make_dataset([0.0, 1.0, 10.0, 11.0])
-    r = silhouette_scores(d, make_assignment([0, 0, 1, 1], 2))
+    r = silhouette_scores(d, [0, 0, 1, 1], 2)
     out = r.to_dict()
     assert [row["id"] for row in out["per_point"]] == ["p0", "p1", "p2", "p3"]
     assert [row["cluster"] for row in out["per_cluster"]] == [0, 1]
@@ -218,7 +202,7 @@ def test_labels_outside_cluster_range_rejected():
     d = make_dataset([0.0, 1.0, 2.0])
     for labels in ([0, 1, 2], [0, 1, -1]):
         with pytest.raises(ValidationError):
-            silhouette_scores(d, make_assignment(labels, 2))
+            silhouette_scores(d, labels, 2)
 
 
 def assert_same_report(got, want):
@@ -239,14 +223,16 @@ def random_case(rng):
         pts = pts.round()  # duplicate points and tied distances
     labels = rng.integers(0, k, size=n)
     labels[:2] = rng.choice(k, size=2, replace=False)  # two clusters occupied
-    return make_dataset(pts), make_assignment(labels, k)
+    return make_dataset(pts), labels, k
 
 
 def test_bit_identical_to_unblocked_oracle_on_random_data():
     rng = np.random.default_rng(45)
     for _ in range(300):
-        d, a = random_case(rng)
-        assert_same_report(silhouette_scores(d, a), oracle_silhouette_scores(d, a))
+        d, labels, k = random_case(rng)
+        assert_same_report(
+            silhouette_scores(d, labels, k), oracle_silhouette_scores(d, labels, k)
+        )
 
 
 @pytest.mark.parametrize("rows_per_block", [1, 2, 3])
@@ -257,14 +243,13 @@ def test_bit_identical_for_any_block_size(monkeypatch, rows_per_block):
         d = make_dataset(rng.normal(size=(n, m)).round(1))
         labels = rng.integers(0, 4, size=n)
         labels[:2] = [0, 3]
-        a = make_assignment(labels, 4)
-        want = oracle_silhouette_scores(d, a)
+        want = oracle_silhouette_scores(d, labels, 4)
         budget = rows_per_block * n * (m + 1) * 8
         monkeypatch.setattr(clustering, "_BLOCK_BYTES", budget)
         blocks = [len(dist) for _, dist in clustering.block_distances(d.points, d.points)]
         assert max(blocks) == min(rows_per_block, n)
         assert sum(blocks) == n
-        assert_same_report(silhouette_scores(d, a), want)
+        assert_same_report(silhouette_scores(d, labels, 4), want)
 
 
 def test_bit_identical_on_lone_empty_and_duplicate_clusters():
@@ -272,9 +257,9 @@ def test_bit_identical_on_lone_empty_and_duplicate_clusters():
     # 2 is empty and cluster 4 holds a lone point
     pts = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [5.0, 5.0], [5.0, 5.0], [9.0, 1.0]]
     d = make_dataset(pts)
-    a = make_assignment([0, 0, 1, 1, 3, 3, 4], 5)
-    got = silhouette_scores(d, a)
-    assert_same_report(got, oracle_silhouette_scores(d, a))
+    labels = [0, 0, 1, 1, 3, 3, 4]
+    got = silhouette_scores(d, labels, 5)
+    assert_same_report(got, oracle_silhouette_scores(d, labels, 5))
     scores = [s for _, _, s in got.per_point]
     assert scores[:4] == [0.0, 0.0, 0.0, 0.0]
     assert scores[6] == 0.0
@@ -284,16 +269,17 @@ def test_bit_identical_on_lone_empty_and_duplicate_clusters():
 def wide_synthetic_case():
     m, _ = generate_synthetic(1500, 60, 7, noise=0.3, missing_fraction=0.005, seed=1)
     m = min_max_normalize(drop_incomplete_genes(m), NormalizationParams(0.0, 1.0))
-    return Dataset.from_matrix(m), cluster_pipeline(m, 7, "random", 1, "shortcut")
+    a = cluster_pipeline(m, 7, "random", 1, "shortcut")
+    return Dataset.from_matrix(m), a.labels, a.k
 
 
 @pytest.mark.parametrize("budget", [None, 1])
 def test_bit_identical_on_wide_synthetic_input(monkeypatch, budget):
-    d, a = wide_synthetic_case()
-    want = oracle_silhouette_scores(d, a)
+    d, labels, k = wide_synthetic_case()
+    want = oracle_silhouette_scores(d, labels, k)
     if budget is not None:
         monkeypatch.setattr(clustering, "_BLOCK_BYTES", budget)
-    assert_same_report(silhouette_scores(d, a), want)
+    assert_same_report(silhouette_scores(d, labels, k), want)
 
 
 @pytest.mark.parametrize("budget", [None, 4 * 2**20])
@@ -303,11 +289,11 @@ def test_memory_stays_within_block_budget(monkeypatch, budget):
     rng = np.random.default_rng(47)
     n, dims, k = 3000, 60, 7
     d = make_dataset(rng.normal(size=(n, dims)))
-    a = make_assignment(rng.integers(0, k, size=n), k)
+    labels = rng.integers(0, k, size=n)
     # the unblocked n x n x d difference array alone would need 8.6 GB here
     tracemalloc.start()
     try:
-        silhouette_scores(d, a)
+        silhouette_scores(d, labels, k)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -325,19 +311,19 @@ def blocked_cases(draw):
     labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
     labels[:2] = draw(st.permutations(range(k)))[:2]  # two clusters occupied
     rows_per_block = draw(st.integers(1, n))
-    return make_dataset(pts), make_assignment(labels, k), rows_per_block
+    return make_dataset(pts), labels, k, rows_per_block
 
 
 @settings(max_examples=300, deadline=None)
 @given(blocked_cases())
 def test_bit_identical_to_oracle_for_any_block_budget(case):
-    d, a, rows_per_block = case
-    want = oracle_silhouette_scores(d, a)
+    d, labels, k, rows_per_block = case
+    want = oracle_silhouette_scores(d, labels, k)
     # the first block gets rows_per_block rows; later blocks have fewer
     # columns, so they take more rows and their edges cut cluster runs anywhere
     budget = rows_per_block * d.n_points * (d.n_dims + 1) * 8
     with mock.patch.object(clustering, "_BLOCK_BYTES", budget):
-        assert_same_report(silhouette_scores(d, a), want)
+        assert_same_report(silhouette_scores(d, labels, k), want)
 
 
 def test_upper_triangle_blocks_match_full_matrix(monkeypatch):
@@ -356,7 +342,7 @@ def test_upper_triangle_blocks_match_full_matrix(monkeypatch):
 
 
 def test_silhouette_measures_each_pair_once(monkeypatch):
-    d, a = wide_synthetic_case()
+    d, labels, k = wide_synthetic_case()
     blocks = []
 
     def counted(*args):
@@ -365,7 +351,7 @@ def test_silhouette_measures_each_pair_once(monkeypatch):
             yield rows, dist
 
     monkeypatch.setattr(evaluation, "block_distances", counted)
-    silhouette_scores(d, a)
+    silhouette_scores(d, labels, k)
     n = d.n_points
     rows_per_block = max(rows for rows, _ in blocks)
     cells = sum(rows * cols for rows, cols in blocks)

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import importlib.util
 import itertools
 import json
 import math
@@ -31,6 +33,7 @@ from genecluster import (
     run_pipeline,
     write_matrix,
 )
+from genecluster import roughset
 
 from helpers import bump_matrix
 
@@ -64,9 +67,9 @@ def test_default_run_structure(bump_file, capsys):
     assert report.shape_before == (300, 17)
     assert report.shape_after[1] == 17
     assert 7 <= report.shape_after[0] < 300  # selection kept a small informative set
-    assert report.selection_enabled
+    assert report.config.select
     assert set(report.reduct.selected) <= set(bump_matrix().gene_ids)
-    assert report.k == 7
+    assert report.config.k == 7
     assert len(report.clusters) == 7
     assert sum(c.size for c in report.clusters) == report.shape_after[0]
     assert [c.label for c in report.clusters] == [f"C{j}" for j in range(1, 8)]
@@ -158,7 +161,7 @@ def test_json_only_formats(bump_file, tmp_path):
 
 def test_no_select_single_cluster_report(small_file):
     report = run_pipeline(PipelineConfig(small_file, select=False, k=1))
-    assert not report.selection_enabled
+    assert not report.config.select
     assert report.reduct is None
     assert report.shape_after == report.shape_before
     assert report.compact_cluster is None
@@ -233,7 +236,7 @@ def test_random_strategy_seed_accepted(small_file):
     report = run_pipeline(
         PipelineConfig(small_file, select=False, k=3, strategy="random", seed=8)
     )
-    assert report.seed == 8
+    assert report.config.seed == 8
     assert report.provenance == "random(seed=8)"
 
 
@@ -284,7 +287,6 @@ def test_run_many_deterministic_strategy(bump_file, tmp_path):
     out = tmp_path / "runs"
     result = run_many(PipelineConfig(bump_file, runs=3, output_dir=str(out)))
     assert len(result.reports) == 3
-    assert result.identical is True
     assert result.summary["identical"] is True
     assert len(set(result.summary["wcss"])) == 1
     # artifacts come from the first run only
@@ -294,9 +296,9 @@ def test_run_many_deterministic_strategy(bump_file, tmp_path):
 def test_run_many_random_strategy_spread(small_file):
     cfg = PipelineConfig(small_file, select=False, k=3, strategy="random", seed=5, runs=3)
     result = run_many(cfg)
-    assert result.identical is None
+    assert "identical" not in result.summary
     assert result.summary["seeds"] == [5, 6, 7]
-    assert [r.seed for r in result.reports] == [5, 6, 7]
+    assert [r.config.seed for r in result.reports] == [5, 6, 7]
     wcss = result.summary["wcss"]
     expected_var = float(np.var(wcss))
     assert result.summary["wcss_variance"] == pytest.approx(expected_var, abs=1e-12)
@@ -307,12 +309,8 @@ def _tiny_report(wcss):
     return PipelineReport(
         shape_before=(2, 2),
         shape_after=(2, 2),
-        selection_enabled=False,
+        config=PipelineConfig("tiny.tsv", select=False, k=1),
         reduct=None,
-        k=1,
-        strategy="ecia",
-        seed=None,
-        mode="exact",
         provenance="ecia",
         iterations=1,
         converged=True,
@@ -334,6 +332,34 @@ def test_run_many_flags_deterministic_disagreement(small_file, monkeypatch):
     monkeypatch.setattr(pipeline_mod, "run_pipeline", fake_run)
     with pytest.raises(PipelineError, match="differing"):
         run_many(PipelineConfig(small_file, runs=2))
+
+
+def _load_spans():
+    """perfbench/spans.py, the benchmark's span recorder, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_records_a_span_for_every_layer_call(bump_file, tmp_path, capsys):
+    # the benchmark times each layer by rebinding its name in
+    # genecluster.pipeline, so every layer call must go through those names
+    spans = _load_spans()
+    recorder = spans.Recorder(memory=False)
+    with recorder.installed() as traced_run:
+        traced_run(PipelineConfig(bump_file, output_dir=str(tmp_path / "out")))
+    recorded = {s.name for s in recorder.spans}
+    assert recorded >= {name for name, _ in spans.LAYER_CALLS.values()}
+    assert spans.ROOT_SPAN in recorded
+
+
+def test_roughset_imports_nothing_from_matrix():
+    # layers meet only in the pipeline
+    tree = ast.parse(Path(roughset.__file__).read_text())
+    imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    assert not [n for n in imports if "matrix" in (n.module, *(a.name for a in n.names))]
 
 
 def test_cluster_label_format():

@@ -448,7 +448,8 @@ def _matrix_pair(values):
 def test_select_genes_returns_submatrix_in_row_order():
     rng = np.random.default_rng(107)
     norm, disc = _matrix_pair(rng.normal(size=(12, 6)))
-    out = select_genes(norm, disc)
+    reduct, out = select_genes(norm, disc)
+    assert set(out.gene_ids) == set(reduct.selected)
     assert set(out.gene_ids) <= set(norm.gene_ids)
     order = [norm.gene_ids.index(g) for g in out.gene_ids]
     assert order == sorted(order)
@@ -462,7 +463,7 @@ def test_select_genes_duplicates_drop_against_exhaustive_oracle():
     base = rng.normal(size=(10, 8))
     values = np.vstack([base, base])  # rows 10..19 duplicate rows 0..9
     norm, disc = _matrix_pair(values)
-    out = select_genes(norm, disc)
+    _, out = select_genes(norm, disc)
     assert out.n_genes <= 10
 
     # exhaustive minimal-subset search over the distinct patterns only:
