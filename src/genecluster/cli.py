@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .evaluation import silhouette_scores
-from .matrix import GENES_AS_ROWS, ORIENTATIONS, read_matrix, write_matrix, write_new_file
+from .matrix import ORIENTATIONS, read_matrix, read_utf8, write_matrix, write_new_file
 from .pipeline import (
     FORMATS,
     PipelineConfig,
@@ -40,7 +40,6 @@ from .pipeline import (
     run_many,
     run_pipeline,
     silhouette_rows,
-    write_json,
     write_silhouette,
 )
 from .synthetic import generate_synthetic
@@ -73,9 +72,13 @@ def _coerce(key, text, where=""):
 
 
 def _parse_config_file(path):
-    """Read simple key=value lines; '#' starts a comment."""
+    """Read simple key=value lines of UTF-8 text; '#' starts a comment."""
+    try:
+        text = read_utf8(path)
+    except ParseError as err:
+        raise ConfigError(f"{path}:{err.line}: not UTF-8 text") from err
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -112,8 +115,6 @@ def cmd_run(args):
         else:
             print(f"wcss per run: {result.summary['wcss']}")
             print(f"wcss variance: {result.summary['wcss_variance']}")
-        if config.output_dir is not None:
-            write_json(Path(config.output_dir) / "runs_summary.json", result.summary)
     return 0
 
 
@@ -144,8 +145,8 @@ def cmd_generate(args):
 
 def _load_assignment(path):
     try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
+        payload = json.loads(read_utf8(path))
+    except (ParseError, json.JSONDecodeError) as err:
         raise ParseError(f"{path}: {err}") from err
     if not isinstance(payload, dict):
         raise ParseError(f"{path}: assignment file must hold a JSON object")
@@ -165,7 +166,7 @@ def _assignment_array(path, payload, key, dtype=None):
 def cmd_evaluate(args):
     check_delimiter(args.delimiter)
     formats = parse_formats(args.format)
-    matrix = read_matrix(args.data, GENES_AS_ROWS, args.delimiter)
+    matrix = read_matrix(args.data, delimiter=args.delimiter)
     path = args.assignment
     payload = _load_assignment(path)
     if payload["point_ids"] != list(matrix.gene_ids):
@@ -178,7 +179,10 @@ def cmd_evaluate(args):
     centroids = _assignment_array(path, payload, "centroids", float)
     if centroids.ndim != 2 or not len(centroids):
         raise ValidationError("centroids must be a non-empty 2-d array")
-    report = silhouette_scores(Dataset.from_matrix(matrix), labels, len(centroids))
+    try:
+        report = silhouette_scores(Dataset.from_matrix(matrix), labels, len(centroids))
+    except ValueError as err:  # fewer than two non-empty clusters
+        raise ValidationError(f"{path}: {err}") from err
     print(cluster_table(silhouette_rows(report), "{:.6f}".format))
     print(f"compact cluster: {cluster_label(report.compact_cluster)}")
     print(f"global mean silhouette: {report.global_mean:.6f}")

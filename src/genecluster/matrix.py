@@ -254,8 +254,18 @@ def _infer_delimiter(path):
     return "," if Path(path).suffix.lower() == ".csv" else "\t"
 
 
+def read_utf8(path):
+    """UTF-8 text of a file, newlines untranslated; a bad byte is a ParseError at its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise ParseError(f"not UTF-8 text: byte {data[err.start]:#04x}", line) from None
+
+
 def read_matrix(path, orientation=GENES_AS_ROWS, delimiter=None):
-    """Read a matrix file; delimiter comes from the extension unless given.
+    """Read a UTF-8 matrix file; delimiter comes from the extension unless given.
 
     The file's characters reach parse_matrix as they are: no newline
     translation, so a quoted "\r" stays one and a line ending in a bare "\r"
@@ -263,8 +273,7 @@ def read_matrix(path, orientation=GENES_AS_ROWS, delimiter=None):
     """
     if delimiter is None:
         delimiter = _infer_delimiter(path)
-    with open(path, newline="") as f:
-        return parse_matrix(f.read(), orientation, delimiter)
+    return parse_matrix(read_utf8(path), orientation, delimiter)
 
 
 def matrix_to_text(m, delimiter="\t"):
@@ -304,7 +313,7 @@ def write_new_file(path, text):
     """
     path = Path(path)
     path.unlink(missing_ok=True)
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
 
 
 def write_matrix(m, path, delimiter=None):

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
-from .clustering import MODES, STRATEGIES, Dataset, cluster_pipeline
+from .clustering import MODES, STRATEGIES, ClusterAssignment, Dataset, cluster_pipeline
 from .errors import (
     ConfigError,
     EmptyMatrixError,
@@ -25,7 +26,7 @@ from .errors import (
     PipelineError,
     ValidationError,
 )
-from .evaluation import silhouette_scores
+from .evaluation import SilhouetteReport, silhouette_scores
 from .matrix import (
     GENES_AS_ROWS,
     ORIENTATIONS,
@@ -109,8 +110,7 @@ def parse_formats(text):
     return formats
 
 
-@dataclass
-class ClusterRow:
+class ClusterRow(NamedTuple):
     label: str
     size: int
     mean_silhouette: float | None
@@ -122,15 +122,27 @@ class PipelineReport:
     shape_after: tuple
     config: PipelineConfig
     reduct: object  # Reduct, or None when selection is off
-    provenance: str
-    iterations: int
-    converged: bool
-    wcss: float
-    cluster_sizes: tuple
-    clusters: tuple
-    compact_cluster: str | None
-    global_mean_silhouette: float | None
+    assignment: ClusterAssignment
+    silhouette: SilhouetteReport | None  # None with fewer than two non-empty clusters
     timings: dict
+
+    @property
+    def clusters(self):
+        sil = self.silhouette
+        mean_of = {} if sil is None else {c: mean for c, _, mean in sil.per_cluster}
+        return tuple(
+            ClusterRow(cluster_label(j), size, mean_of.get(j))
+            for j, size in enumerate(self.assignment.sizes.tolist())
+        )
+
+    @property
+    def compact_cluster(self):
+        sil = self.silhouette
+        return None if sil is None else cluster_label(sil.compact_cluster)
+
+    @property
+    def global_mean_silhouette(self):
+        return None if self.silhouette is None else self.silhouette.global_mean
 
     def to_dict(self, include_timings=True):
         selection = {"enabled": self.config.select}
@@ -148,11 +160,7 @@ class PipelineReport:
                 "strategy": self.config.strategy,
                 "seed": self.config.seed,
                 "mode": self.config.mode,
-                "provenance": self.provenance,
-                "iterations": self.iterations,
-                "converged": self.converged,
-                "wcss": self.wcss,
-                "cluster_sizes": list(self.cluster_sizes),
+                **_kmeans_facts(self.assignment),
             },
             "clusters": [
                 {"cluster": c.label, "size": c.size, "mean_silhouette": c.mean_silhouette}
@@ -168,10 +176,8 @@ class PipelineReport:
     def to_json(self, include_timings=True):
         return json_text(self.to_dict(include_timings)) + "\n"
 
-    def cluster_rows(self):
-        return [(c.label, c.size, c.mean_silhouette) for c in self.clusters]
-
     def summary_text(self):
+        a = self.assignment
         lines = [
             f"input shape: {self.shape_before[0]} genes x {self.shape_before[1]} conditions",
         ]
@@ -185,11 +191,10 @@ class PipelineReport:
             lines.append("selection: off")
         lines.append(
             f"clustering: k={self.config.k} strategy={self.config.strategy}"
-            f" mode={self.config.mode}"
-            f" iterations={self.iterations}"
-            f" converged={'yes' if self.converged else 'no'} wcss={self.wcss:.6f}"
+            f" mode={self.config.mode} iterations={a.iterations}"
+            f" converged={'yes' if a.converged else 'no'} wcss={a.wcss:.6f}"
         )
-        lines.append(cluster_table(self.cluster_rows(), "{:.6f}".format))
+        lines.append(cluster_table(self.clusters, "{:.6f}".format))
         if self.compact_cluster is not None:
             lines.append(f"compact cluster: {self.compact_cluster}")
             lines.append(f"global mean silhouette: {self.global_mean_silhouette:.6f}")
@@ -279,55 +284,33 @@ def run_pipeline(config):
         config.seed, config.mode, config.max_iters,
     )
 
-    def _evaluate():
-        if int((assignment.sizes > 0).sum()) < 2:
-            return None
-        return silhouette_scores(Dataset.from_matrix(selected), assignment.labels, config.k)
+    def _evaluate():  # None with fewer than two non-empty clusters
+        if (assignment.sizes > 0).sum() > 1:
+            return silhouette_scores(Dataset.from_matrix(selected), assignment.labels, config.k)
 
-    sil = _run_stage("evaluate", timings, _evaluate)
-
-    mean_of = {}
-    if sil is not None:
-        mean_of = {c: mean for c, _, mean in sil.per_cluster}
-    clusters = tuple(
-        ClusterRow(cluster_label(j), int(assignment.sizes[j]), mean_of.get(j))
-        for j in range(config.k)
-    )
     report = PipelineReport(
         shape_before=raw.shape,
         shape_after=selected.shape,
         config=config,
         reduct=reduct,
-        provenance=assignment.centroids.provenance,
-        iterations=assignment.iterations,
-        converged=assignment.converged,
-        wcss=assignment.wcss,
-        cluster_sizes=tuple(int(s) for s in assignment.sizes),
-        clusters=clusters,
-        compact_cluster=None if sil is None else cluster_label(sil.compact_cluster),
-        global_mean_silhouette=None if sil is None else sil.global_mean,
+        assignment=assignment,
+        silhouette=_run_stage("evaluate", timings, _evaluate),
         timings=timings,
     )
     if config.output_dir is not None:
-        _run_stage(
-            "write", timings, _write_artifacts,
-            report, normalized, disc, selected, assignment, sil,
-        )
+        _run_stage("write", timings, _write_artifacts, report, normalized, disc, selected)
     print(report.summary_text())
     return report
 
 
-def _assignment_dict(selected, assignment):
+def _kmeans_facts(assignment):
+    """K-Means facts held by both report.json's clustering object and assignment.json."""
     return {
-        "point_ids": list(selected.gene_ids),
-        "labels": [int(v) for v in assignment.labels],
-        "nearest_dist": [float(v) for v in assignment.nearest_dist],
-        "centroids": [[float(v) for v in row] for row in assignment.centroids.vectors],
         "provenance": assignment.centroids.provenance,
         "iterations": assignment.iterations,
         "converged": assignment.converged,
         "wcss": assignment.wcss,
-        "cluster_sizes": [int(s) for s in assignment.sizes],
+        "cluster_sizes": assignment.sizes.tolist(),
     }
 
 
@@ -431,29 +414,34 @@ def write_silhouette(out, sil, formats):
         write_new_file(out / "silhouette.tsv", text + "\n")
 
 
-def _write_artifacts(report, normalized, disc, selected, assignment, sil):
-    config = report.config
+def _write_artifacts(report, normalized, disc, selected):
+    config, assignment = report.config, report.assignment
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    want_json = "json" in config.formats
-    want_tsv = "tsv" in config.formats
     write_matrix(normalized, out / "normalized.tsv")
     write_matrix(disc, out / "discretized.tsv")
     if config.select:
         write_matrix(selected, out / "selected.tsv")
-        if want_json:
+    if "json" in config.formats:
+        if config.select:
             write_json(out / "reduct.json", report.reduct.to_dict())
-    if want_json:
-        write_json(out / "assignment.json", _assignment_dict(selected, assignment))
+        payload = {
+            "point_ids": list(selected.gene_ids),
+            "labels": assignment.labels.tolist(),
+            "nearest_dist": assignment.nearest_dist.tolist(),
+            "centroids": assignment.centroids.vectors.tolist(),
+            **_kmeans_facts(assignment),
+        }
+        write_json(out / "assignment.json", payload)
         write_new_file(out / "report.json", report.to_json())
-    if sil is not None:
-        write_silhouette(out, sil, config.formats)
-    if want_tsv:
+    if report.silhouette is not None:
+        write_silhouette(out, report.silhouette, config.formats)
+    if "tsv" in config.formats:
         rows = ["gene\tcluster\tnearest_dist"]
         for gid, lab, nd in zip(selected.gene_ids, assignment.labels, assignment.nearest_dist):
             rows.append(f"{gid}\t{cluster_label(int(lab))}\t{float(nd)!r}")
         write_new_file(out / "assignment.tsv", "\n".join(rows) + "\n")
-        text = cluster_table(report.cluster_rows(), repr)
+        text = cluster_table(report.clusters, repr)
         write_new_file(out / "report.tsv", text + "\n")
 
 
@@ -488,7 +476,7 @@ def run_many(config):
     summary = {
         "runs": config.runs,
         "strategy": config.strategy,
-        "wcss": [r.wcss for r in reports],
+        "wcss": [r.assignment.wcss for r in reports],
         "global_mean_silhouette": [r.global_mean_silhouette for r in reports],
     }
     if config.strategy == "ecia":
@@ -504,4 +492,6 @@ def run_many(config):
         summary["global_mean_silhouette_variance"] = (
             _variance(sils) if len(sils) == config.runs else None
         )
+    if config.output_dir is not None:
+        write_json(Path(config.output_dir) / "runs_summary.json", summary)
     return MultiRunResult(tuple(reports), summary)

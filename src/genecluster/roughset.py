@@ -91,10 +91,6 @@ class Partition:
             tuple(sorted((frozenset(b) for b in self.blocks), key=min)),
         )
 
-    @property
-    def n_blocks(self):
-        return len(self.blocks)
-
 
 def _refine(group_ids, col_codes):
     key = group_ids * (int(col_codes.max()) + 1) + col_codes

@@ -584,6 +584,60 @@ def test_evaluate_json_only_output(generated, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_evaluate_of_one_cluster_assignment_is_input_error(generated, tmp_path, capsys):
+    # the run is fine with one cluster; only its silhouette is undefined
+    matrix, _ = generated
+    rundir = tmp_path / "r1"
+    assert main([
+        "run", "--input", str(matrix), "--no-select", "--k", "1", "--out", str(rundir),
+    ]) == 0
+    capsys.readouterr()
+    evaldir = tmp_path / "ev"
+    code = main([
+        "evaluate", "--data", str(rundir / "normalized.tsv"),
+        "--assignment", str(rundir / "assignment.json"), "--out", str(evaldir),
+    ])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "silhouette needs at least two non-empty clusters" in captured.err
+    assert captured.out == ""
+    assert not evaldir.exists()
+
+
+_BAD_UTF8_TSV = b"id\tt1\tt2\ng1\t1\t2\n\xff\t2\t3\n"
+
+
+@pytest.mark.parametrize("files, argv, code, message", [
+    pytest.param(
+        {"m.tsv": _BAD_UTF8_TSV}, ["run", "--input", "m.tsv"],
+        3, "stage 'parse': line 3: not UTF-8 text", id="run-input",
+    ),
+    pytest.param(
+        {"m.tsv": _BAD_UTF8_TSV}, ["evaluate", "--data", "m.tsv", "--assignment", "a.json"],
+        3, "line 3: not UTF-8 text", id="evaluate-data",
+    ),
+    pytest.param(
+        {"m.tsv": b"id\tt1\ng1\t1\ng2\t2\n", "a.json": b'{\n"point_ids": ["\xff"]}'},
+        ["evaluate", "--data", "m.tsv", "--assignment", "a.json"],
+        3, "a.json: line 2: not UTF-8 text", id="evaluate-assignment",
+    ),
+    pytest.param(
+        {"run.cfg": b"# settings\nk=\xff\n"}, ["run", "--config", "run.cfg"],
+        2, "run.cfg:2: not UTF-8 text", id="config-file",
+    ),
+])
+def test_non_utf8_bytes_are_input_errors(
+    tmp_path, capsys, monkeypatch, files, argv, code, message
+):
+    monkeypatch.chdir(tmp_path)
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_module_help_runs_as_subprocess():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import genecluster
 import genecluster.pipeline as pipeline_mod
 from genecluster import (
-    ClusterRow,
+    Centroids,
+    ClusterAssignment,
     ConfigError,
     EmptyMatrixError,
     ExpressionMatrix,
@@ -74,7 +75,7 @@ def test_default_run_structure(bump_file, capsys):
     assert sum(c.size for c in report.clusters) == report.shape_after[0]
     assert [c.label for c in report.clusters] == [f"C{j}" for j in range(1, 8)]
     assert report.compact_cluster in {c.label for c in report.clusters}
-    assert report.converged
+    assert report.assignment.converged
     assert set(report.timings) == {
         "parse", "filter", "normalize", "discretize", "select", "cluster", "evaluate",
     }
@@ -114,7 +115,7 @@ def test_artifacts_written(bump_file, tmp_path):
     assignment = json.loads((out / "assignment.json").read_text())
     assert assignment["point_ids"] == list(selected.gene_ids)
     assert len(assignment["labels"]) == selected.n_genes
-    assert assignment["cluster_sizes"] == list(report.cluster_sizes)
+    assert assignment["cluster_sizes"] == report.assignment.sizes.tolist()
     for path in out.glob("*.json"):
         text = path.read_text()
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
@@ -167,7 +168,7 @@ def test_no_select_single_cluster_report(small_file):
     assert report.compact_cluster is None
     assert report.global_mean_silhouette is None
     assert report.clusters[0].mean_silhouette is None
-    assert report.cluster_sizes == (12,)
+    assert tuple(report.assignment.sizes.tolist()) == (12,)
     d = report.to_dict()
     assert d["selection"] == {"enabled": False}
     jsonschema.validate(d, SCHEMA)
@@ -178,9 +179,9 @@ def test_no_select_matches_direct_clustering(small_file):
     raw = read_matrix(small_file, "genes-as-rows")
     normalized = min_max_normalize(raw, NormalizationParams(0.0, 1.0))
     direct = cluster_pipeline(normalized, 3)
-    assert report.cluster_sizes == tuple(int(s) for s in direct.sizes)
-    assert report.wcss == direct.wcss
-    assert report.iterations == direct.iterations
+    assert tuple(report.assignment.sizes.tolist()) == tuple(int(s) for s in direct.sizes)
+    assert report.assignment.wcss == direct.wcss
+    assert report.assignment.iterations == direct.iterations
 
 
 def test_column_oriented_input_gives_same_report(small_file, tmp_path):
@@ -237,7 +238,7 @@ def test_random_strategy_seed_accepted(small_file):
         PipelineConfig(small_file, select=False, k=3, strategy="random", seed=8)
     )
     assert report.config.seed == 8
-    assert report.provenance == "random(seed=8)"
+    assert report.assignment.centroids.provenance == "random(seed=8)"
 
 
 def test_missing_input_fails_in_parse_stage(tmp_path):
@@ -305,20 +306,34 @@ def test_run_many_random_strategy_spread(small_file):
     assert result.summary["global_mean_silhouette_variance"] is not None
 
 
+def test_run_many_writes_runs_summary(small_file, tmp_path):
+    out = tmp_path / "runs"
+    cfg = PipelineConfig(
+        small_file, select=False, k=3, strategy="random", seed=5, runs=2,
+        output_dir=str(out),
+    )
+    result = run_many(cfg)
+    text = (out / "runs_summary.json").read_text()
+    assert text == pipeline_mod.json_text(result.summary) + "\n"
+    assert json.loads(text)["seeds"] == [5, 6]
+
+
 def _tiny_report(wcss):
     return PipelineReport(
         shape_before=(2, 2),
         shape_after=(2, 2),
         config=PipelineConfig("tiny.tsv", select=False, k=1),
         reduct=None,
-        provenance="ecia",
-        iterations=1,
-        converged=True,
-        wcss=wcss,
-        cluster_sizes=(2,),
-        clusters=(ClusterRow("C1", 2, None),),
-        compact_cluster=None,
-        global_mean_silhouette=None,
+        assignment=ClusterAssignment(
+            labels=(0, 0),
+            nearest_dist=(0.0, 0.0),
+            centroids=Centroids([[0.0, 0.0]], "ecia"),
+            iterations=1,
+            converged=True,
+            wcss=wcss,
+            history=(),
+        ),
+        silhouette=None,
         timings={},
     )
 
