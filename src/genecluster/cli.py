@@ -72,17 +72,17 @@ def _coerce(key, text, where=""):
 
 
 def _parse_config_file(path):
-    """Read simple key=value lines of UTF-8 text; '#' starts a comment."""
+    r"""Read key=value lines of UTF-8 text, each ended by "\n" only; '#' starts a comment."""
     try:
         text = read_utf8(path)
     except ParseError as err:
         raise ConfigError(f"{path}:{err.line}: not UTF-8 text") from err
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        if "=" not in line or "\r" in line:  # a bare "\r" does not end a line
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")

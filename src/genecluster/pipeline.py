@@ -9,12 +9,9 @@ report apart from the timing block.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import time
 from dataclasses import dataclass
-from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
@@ -39,7 +36,7 @@ from .matrix import (
     write_matrix,
     write_new_file,
 )
-from .roughset import build_table, usqr_reduct
+from .roughset import build_table, fraction_dict, usqr_reduct
 
 FORMATS = ("json", "tsv")
 
@@ -147,10 +144,9 @@ class PipelineReport:
     def to_dict(self, include_timings=True):
         selection = {"enabled": self.config.select}
         if self.config.select:
-            rd = self.reduct.to_dict(include_candidate_scores=False)
-            selection["selected_gene_ids"] = rd["selected"]
-            selection["rounds"] = rd["rounds"]
-            selection["final_mean_dependency"] = rd["final_mean_dependency"]
+            selection["selected_gene_ids"] = list(self.reduct.selected)
+            selection["rounds"] = [r.to_dict() for r in self.reduct.trace]
+            selection["final_mean_dependency"] = fraction_dict(self.reduct.final_mean_dependency)
         out = {
             "shape_before": _shape_dict(self.shape_before),
             "shape_after": _shape_dict(self.shape_after),
@@ -174,7 +170,7 @@ class PipelineReport:
         return out
 
     def to_json(self, include_timings=True):
-        return json_text(self.to_dict(include_timings)) + "\n"
+        return _json_document(self.to_dict(include_timings))
 
     def summary_text(self):
         a = self.assignment
@@ -314,95 +310,13 @@ def _kmeans_facts(assignment):
     }
 
 
-_CONTAINERS = (dict, list, tuple)
-
-
-@functools.cache
-def _encode_flat(width):
-    """The stdlib C encoder, one-line except that items are separated by a
-    line break and a pad of width two-space steps."""
-    separators = (",\n" + "  " * width, ": ")
-    return json.JSONEncoder(sort_keys=True, separators=separators).encode
-
-
-def _holds_container(values):
-    return any(map(isinstance, values, repeat(_CONTAINERS)))
-
-
-def _is_flat_dict_list(items):
-    """True for a list of non-empty dicts none of which holds a container."""
-    return (
-        all(map(isinstance, items, repeat(dict)))
-        and all(map(len, items))
-        and not _holds_container(chain.from_iterable(map(dict.values, items)))
-    )
-
-
-def json_text(payload):
-    """json.dumps(payload, indent=2, sort_keys=True), written by the C encoder.
-
-    json.dumps runs the pure-Python encoder whenever indent is set.  Here
-    each flat container (no dict, list or tuple among its values) is one C
-    encoder call whose item separator already holds the line break and the
-    pad; only the brackets get theirs put in.  A list of non-empty flat
-    dicts is one call too, with the pad of the dicts' items, and the text
-    between two dicts is then rewritten to the indented form.  That rewrite
-    is exact: with ensure_ascii an encoded string holds no raw line break,
-    so "},\n" occurs only between two dicts.  Everything else recurses.
-    """
-    parts = []
-    _encode(payload, 0, parts)
-    return "".join(parts)
-
-
-def _encode(obj, depth, parts):
-    is_dict = isinstance(obj, dict)
-    if not (is_dict or isinstance(obj, (list, tuple))):
-        parts.append(_encode_flat(0)(obj))
-        return
-    pad = "\n" + "  " * depth
-    inner = pad + "  "
-    if not obj:
-        parts.append("{}" if is_dict else "[]")
-    elif not _holds_container(obj.values() if is_dict else obj):
-        text = _encode_flat(depth + 1)(obj)
-        parts += (text[0], inner, text[1:-1], pad, text[-1])
-    elif not is_dict and _is_flat_dict_list(obj):
-        item = inner + "  "
-        text = _encode_flat(depth + 2)(obj)[2:-2].replace(
-            "}," + item + "{", inner + "}," + inner + "{" + item
-        )
-        parts += ("[", inner, "{", item, text, inner, "}", pad, "]")
-    elif is_dict:
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            parts += (sep, _key_text(key), ": ")
-            _encode(value, depth + 1, parts)
-            sep = "," + inner
-        parts += (pad, "}")
-    else:
-        sep = "[" + inner
-        for value in obj:
-            parts.append(sep)
-            _encode(value, depth + 1, parts)
-            sep = "," + inner
-        parts += (pad, "]")
-
-
-def _key_text(key):
-    """A dict key as json.dumps writes it: non-str keys as their JSON text."""
-    if not isinstance(key, str):
-        if not (key is None or isinstance(key, (int, float))):
-            raise TypeError(
-                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-            )
-        key = _encode_flat(0)(key)
-    return encode_basestring_ascii(key)
+def _json_document(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_json(path, payload):
-    """Write payload as indented JSON with sorted keys (json_text)."""
-    write_new_file(path, json_text(payload) + "\n")
+    """Write payload to a new file as a JSON artifact."""
+    write_new_file(path, _json_document(payload))
 
 
 def write_silhouette(out, sil, formats):

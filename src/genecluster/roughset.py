@@ -160,8 +160,7 @@ class ReductRound:
     """One accepted round of the greedy search.
 
     total is the pure total the round reaches and totals[i] that of
-    candidate candidates[i], all over denominator; the ratios are made only
-    when the trace is written.
+    candidates[i], all over denominator; only the round's ratio is written.
     """
 
     attribute: str
@@ -182,22 +181,13 @@ class ReductRound:
         """(attribute, pure total) of every candidate scored in the round."""
         return tuple(zip(self.candidates, self.totals))
 
-    def to_dict(self, include_candidate_scores=True):
-        out = {
+    def to_dict(self):
+        """The round as report.json lists it; Reduct.to_dict adds the candidates."""
+        return {
             "attribute": self.attribute,
-            "mean_dependency": _fraction_dict(self.mean_dependency),
+            "mean_dependency": fraction_dict(self.mean_dependency),
             "forced": self.forced,
         }
-        if include_candidate_scores:
-            totals = np.array(self.totals, dtype=np.int64)
-            g = np.gcd(totals, self.denominator)
-            out["candidate_scores"] = [
-                {"attribute": a, "ratio": f"{t}/{d}", "value": t / d}
-                for a, t, d in zip(
-                    self.candidates, (totals // g).tolist(), (self.denominator // g).tolist()
-                )
-            ]
-        return out
 
 
 @dataclass(frozen=True)
@@ -207,15 +197,21 @@ class Reduct:
     # the search ends only when every object's block is pure in every attribute
     final_mean_dependency = Fraction(1)
 
-    def to_dict(self, include_candidate_scores=True):
+    def to_dict(self):
+        """reduct.json: each round with its candidates' integer pure totals."""
         return {
             "selected": list(self.selected),
-            "rounds": [r.to_dict(include_candidate_scores) for r in self.trace],
-            "final_mean_dependency": _fraction_dict(self.final_mean_dependency),
+            "rounds": [
+                {**r.to_dict(), "candidates": list(r.candidates), "totals": list(r.totals),
+                 "denominator": r.denominator}
+                for r in self.trace
+            ],
+            "final_mean_dependency": fraction_dict(self.final_mean_dependency),
         }
 
 
-def _fraction_dict(f):
+def fraction_dict(f):
+    """An exact rational as the artifacts write it: its reduced ratio and float."""
     return {"ratio": f"{f.numerator}/{f.denominator}", "value": float(f)}
 
 

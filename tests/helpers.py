@@ -359,28 +359,26 @@ def _oracle_fraction_dict(f):
     return {"ratio": f"{f.numerator}/{f.denominator}", "value": float(f)}
 
 
-def oracle_reduct_dict(reduct, include_candidate_scores=True):
-    """A reduct's trace as a dict, one Fraction per candidate score.
+def oracle_reduct_dict(reduct):
+    """A reduct's trace as reduct.json holds it, built field by field.
 
-    This is the serialization the library's integer-total one replaced.
+    Each round's mean dependency is written from its Fraction; each
+    candidate keeps its integer pure total over the round's denominator.
     """
-    rounds = []
-    for r in reduct.trace:
-        out = {
-            "attribute": r.attribute,
-            "mean_dependency": _oracle_fraction_dict(r.mean_dependency),
-            "forced": r.forced,
-        }
-        if include_candidate_scores:
-            out["candidate_scores"] = [
-                {"attribute": a, **_oracle_fraction_dict(Fraction(t, r.denominator))}
-                for a, t in zip(r.candidates, r.totals)
-            ]
-        rounds.append(out)
     return {
         "selected": list(reduct.selected),
-        "rounds": rounds,
-        "final_mean_dependency": _oracle_fraction_dict(reduct.final_mean_dependency),
+        "rounds": [
+            {
+                "attribute": r.attribute,
+                "mean_dependency": _oracle_fraction_dict(Fraction(r.total, r.denominator)),
+                "forced": False,
+                "candidates": list(r.candidates),
+                "totals": list(r.totals),
+                "denominator": r.denominator,
+            }
+            for r in reduct.trace
+        ],
+        "final_mean_dependency": _oracle_fraction_dict(Fraction(1)),
     }
 
 

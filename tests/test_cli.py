@@ -265,6 +265,28 @@ def test_config_file_errors(tmp_path, capsys):
     assert "expected key=value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_config_file_lines_end_only_at_newline(generated, tmp_path, capsys, newline):
+    # str.splitlines would end the comment at "\x85" or "\u2028"
+    matrix, _ = generated
+    cfg = tmp_path / "nel.cfg"
+    lines = ["# note\x85 x\u2028 y", f"input = {matrix}", "k = 2", "select = off", ""]
+    cfg.write_bytes(newline.join(lines).encode())
+    rundir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(rundir)]) == 0
+    report = json.loads((rundir / "report.json").read_text())
+    assert report["clustering"]["k"] == 2
+    assert report["selection"]["enabled"] is False
+    capsys.readouterr()
+    cfg.write_bytes(newline.join(["# a\x85b", "k = 2", "just a line", ""]).encode())
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert f"{cfg}:3: expected key=value" in capsys.readouterr().err
+    # nor does a bare "\r": a setting running into the next one is refused
+    cfg.write_bytes(newline.join([f"input = {matrix}", "out = x\rk = 2", ""]).encode())
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert f"{cfg}:2: expected key=value, got 'out = x\\rk = 2" in capsys.readouterr().err
+
+
 def _run_parser():
     sub = next(a for a in _build_parser()._actions if a.dest == "command")
     return sub.choices["run"]

@@ -3,14 +3,11 @@ import dataclasses
 import importlib.util
 import itertools
 import json
-import math
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import genecluster
 import genecluster.pipeline as pipeline_mod
@@ -111,7 +108,9 @@ def test_artifacts_written(bump_file, tmp_path):
     assert list(selected.gene_ids) == sorted(selected.gene_ids, key=position.__getitem__)
     reduct = json.loads((out / "reduct.json").read_text())
     assert tuple(reduct["selected"]) == report.reduct.selected
-    assert all("candidate_scores" in r for r in reduct["rounds"])
+    for r in reduct["rounds"]:
+        assert len(r["candidates"]) == len(r["totals"])
+        assert r["denominator"] == normalized.values.size
     assignment = json.loads((out / "assignment.json").read_text())
     assert assignment["point_ids"] == list(selected.gene_ids)
     assert len(assignment["labels"]) == selected.n_genes
@@ -122,6 +121,11 @@ def test_artifacts_written(bump_file, tmp_path):
     saved = json.loads((out / "report.json").read_text())
     saved.pop("timings")
     assert saved == report.to_dict(include_timings=False)
+    # the report's rounds are reduct.json's without the candidate columns
+    assert saved["selection"]["rounds"] == [
+        {k: v for k, v in r.items() if k not in ("candidates", "totals", "denominator")}
+        for r in reduct["rounds"]
+    ]
     jsonschema.validate(saved, SCHEMA)
     sil_tsv = (out / "silhouette.tsv").read_text().splitlines()
     assert sil_tsv[0] == "cluster\tsize\tmean_silhouette"
@@ -314,7 +318,7 @@ def test_run_many_writes_runs_summary(small_file, tmp_path):
     )
     result = run_many(cfg)
     text = (out / "runs_summary.json").read_text()
-    assert text == pipeline_mod.json_text(result.summary) + "\n"
+    assert text == json.dumps(result.summary, indent=2, sort_keys=True) + "\n"
     assert json.loads(text)["seeds"] == [5, 6]
 
 
@@ -380,53 +384,3 @@ def test_roughset_imports_nothing_from_matrix():
 def test_cluster_label_format():
     assert cluster_label(0) == "C1"
     assert cluster_label(6) == "C7"
-
-
-# strings that look like the separators and brackets json_text rewrites
-_LOOKALIKES = ["},\n    {", "}, {", "]", "},\n", "\n  ", "{}", "[]", '"', "\\"]
-_KEYS = st.text() | st.sampled_from(_LOOKALIKES)
-_LEAVES = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(-(2**80), 2**80) | st.sampled_from([2**64, -(2**64) - 1, 2**200]),
-    st.floats() | st.sampled_from([-0.0, 5e-324, -2.5e-310, math.nan, math.inf, -math.inf]),
-    st.text() | st.sampled_from(_LOOKALIKES),
-)
-_FLAT_DICT_LISTS = st.lists(st.dictionaries(_KEYS, _LEAVES, max_size=4), max_size=4)
-_PAYLOADS = st.recursive(
-    _LEAVES | _FLAT_DICT_LISTS,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(_KEYS, children, max_size=4),
-    ),
-    max_leaves=30,
-)
-
-
-@settings(max_examples=600, deadline=None)
-@given(_PAYLOADS)
-@example([{"a": 1}, {}])
-@example({"k": [{"a": "},\n      {", "b": -0.0}, {"c": [1]}], "l": [{"d": None}, {"e": "]"}]})
-def test_json_text_equals_json_dumps(payload):
-    assert pipeline_mod.json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
-
-
-@pytest.mark.parametrize("payload", [
-    {1: "a", 2: "b"},
-    {"x": {True: [1], False: {}}, "y": {None: [1]}, "z": {2.5: "c", -0.0: [0], math.nan: {}}},
-    {"x": {-1: {"y": 1}, 10**20: [2]}},
-])
-def test_json_text_writes_non_str_keys_as_json_dumps_does(payload):
-    assert pipeline_mod.json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
-
-
-@pytest.mark.parametrize("payload", [
-    {(1,): 2}, {"x": {(1,): [2]}}, {"x": [{1: 2, "y": 3}]}, {"x": {None: [1], True: 2}},
-])
-def test_json_text_rejects_keys_as_json_dumps_does(payload):
-    with pytest.raises(TypeError) as want:
-        json.dumps(payload, indent=2, sort_keys=True)
-    with pytest.raises(TypeError) as got:
-        pipeline_mod.json_text(payload)
-    assert str(got.value) == str(want.value)

@@ -310,13 +310,28 @@ def _oracle_case_tables(count, seed):
         yield make_table(values)
 
 
+def _assert_candidate_ratios(written, want):
+    """Every ratio a reader derives from the written trace is the oracle's.
+
+    The oracle reduct scores each candidate on its own; the written round
+    names the best candidate, whose ratio is the round's mean dependency.
+    """
+    for r, w in zip(written["rounds"], want.trace, strict=True):
+        assert [Fraction(t, r["denominator"]) for t in r["totals"]] == [
+            Fraction(score, w.denominator) for score in w.totals
+        ]
+        best = max(r["totals"])
+        assert r["candidates"][r["totals"].index(best)] == r["attribute"]
+        assert Fraction(r["mean_dependency"]["ratio"]) == Fraction(best, r["denominator"])
+
+
 def test_usqr_matches_per_candidate_oracle_on_random_tables():
     sizes = set()
     for t in _oracle_case_tables(400, seed=110):
         got, want = usqr_reduct(t), oracle_usqr_reduct(t)
         assert got == want
         assert got.to_dict() == oracle_reduct_dict(want)
-        assert got.to_dict(False) == oracle_reduct_dict(want, False)
+        _assert_candidate_ratios(got.to_dict(), want)
         sizes.add(t.n_objects)
     assert 1 in sizes and max(sizes) > 8
 
@@ -331,6 +346,7 @@ def test_usqr_matches_per_candidate_oracle_on_synthetic_800x20():
     got, want = usqr_reduct(t), oracle_usqr_reduct(t)
     assert got == want
     assert got.to_dict() == oracle_reduct_dict(want)
+    _assert_candidate_ratios(got.to_dict(), want)
     assert sum(len(r.candidate_scores) for r in got.trace) == sum(
         t.n_attributes - i for i in range(len(got.trace))
     )
@@ -414,25 +430,18 @@ def test_usqr_trace_serialization():
     d = reduct.to_dict()
     assert d["selected"] == list(reduct.selected)
     assert d["final_mean_dependency"]["ratio"].count("/") == 1
-    for r in d["rounds"]:
-        assert set(r) == {"attribute", "mean_dependency", "forced", "candidate_scores"}
-    slim = reduct.to_dict(include_candidate_scores=False)
-    assert all("candidate_scores" not in r for r in slim["rounds"])
-    for full in d["rounds"]:
-        del full["candidate_scores"]
-    assert slim == d
+    columns = {"candidates", "totals", "denominator"}
+    for r, full in zip(reduct.trace, d["rounds"], strict=True):
+        assert set(full) == {"attribute", "mean_dependency", "forced"} | columns
+        assert all(type(v) is int for v in (*full["totals"], full["denominator"]))
+        assert r.to_dict() == {k: v for k, v in full.items() if k not in columns}
 
 
 def test_slim_trace_never_formats_candidate_scores():
     reduct = usqr_reduct(make_table(np.random.default_rng(107).integers(0, 3, size=(6, 4))))
-    # scores that cannot be formatted: the slim dict must not touch them
-    unscored = roughset.Reduct(
-        reduct.selected,
-        tuple(dataclasses.replace(r, candidates=None, totals=None) for r in reduct.trace),
-    )
-    assert unscored.to_dict(include_candidate_scores=False) == reduct.to_dict(
-        include_candidate_scores=False
-    )
+    # candidates and totals that cannot be read: the round's own dict must not touch them
+    for r in reduct.trace:
+        assert dataclasses.replace(r, candidates=None, totals=None).to_dict() == r.to_dict()
 
 
 def _matrix_pair(values):
