@@ -35,6 +35,9 @@ _MISSING_AS_NAN = {"": "nan", "na": "nan", "nA": "nan", "Na": "nan", "NA": "nan"
 # The characters a written number cell can hold, including its NA token.
 _NUMBER_CHARS = frozenset("0123456789.+-eEinfaNA")
 
+# The text of each regulation code, keyed by its byte in an int8 array (-1 is 255).
+_CODE_TEXT = {0: "0", 1: "1", 255: "-1"}
+
 
 def _check_ids(labels, kind):
     r"""Ids are unique and hold no "\r": a csv writer leaves "\r" unquoted, so
@@ -281,23 +284,38 @@ def matrix_to_text(m, delimiter="\t"):
 
     Floats use repr so that a write/read round trip reproduces the exact
     values, and a missing entry is written as NA; discretized matrices are
-    written as bare integers.  Each row's cells come from one C call,
-    str(row.tolist()), and are joined by the delimiter without csv: a number
-    cell needs quoting only when the delimiter is a character numbers are
-    written with.  The header, an id that needs quoting, and every row under
-    such a delimiter go through csv.writer.
+    written as bare integers.  A row of floats gets its cells from one C
+    call, str(row.tolist()); a row of codes looks each cell up in a
+    three-entry table.  Cells are joined by the delimiter without csv: a
+    number cell needs quoting only when the delimiter is a character
+    numbers are written with.  Under such a delimiter the code table holds
+    the quoted codes, and every row of floats goes through csv.writer.  The
+    header and an id that needs quoting go through csv.writer too.
     """
     out = io.StringIO()
     writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
     writer.writerow(["id", *m.condition_ids])
-    quote_cells = delimiter in _NUMBER_CHARS
     quoting_chars = frozenset((delimiter, '"', "\n"))
+
+    def plain(gid):
+        return isinstance(gid, str) and quoting_chars.isdisjoint(gid)
+
+    if isinstance(m, DiscretizedMatrix):
+        code_cells = {b: f'"{c}"' if delimiter in c else c for b, c in _CODE_TEXT.items()}
+        for gid, row in zip(m.gene_ids, m.values):
+            if plain(gid):
+                line = delimiter.join(map(code_cells.__getitem__, row.tobytes()))
+                out.write(f"{gid}{delimiter}{line}\n")
+            else:
+                writer.writerow([gid, *map(_CODE_TEXT.__getitem__, row.tobytes())])
+        return out.getvalue()
+    quote_cells = delimiter in _NUMBER_CHARS
     has_nan = np.isnan(m.values).any(axis=1)
     for gid, row, nan in zip(m.gene_ids, m.values, has_nan):
         cells = str(row.tolist())[1:-1]
         if nan:
             cells = cells.replace("nan", MISSING_OUTPUT_TOKEN)
-        if quote_cells or not isinstance(gid, str) or not quoting_chars.isdisjoint(gid):
+        if quote_cells or not plain(gid):
             writer.writerow([gid, *cells.split(", ")])
         else:
             out.write(f"{gid}{delimiter}{cells.replace(', ', delimiter)}\n")

@@ -311,7 +311,9 @@ def _kmeans_facts(assignment):
 
 
 def _json_document(payload):
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """One line of JSON with sorted keys: without indent, json.dumps runs
+    CPython's C encoder instead of its pure-Python one."""
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 def write_json(path, payload):

@@ -582,6 +582,35 @@ def test_discretized_text_matches_oracle(m, delimiter):
     assert (oracle_parse_discretized(text, delimiter).values == codes).all()
 
 
+# gene ids a csv writer must quote under some delimiter, and ids that are not str
+_CODE_GENE_ID = st.one_of(
+    st.text(alphabet='ab\t,;-1"\n é', min_size=1, max_size=4).filter(lambda s: s == s.strip()),
+    st.integers(-20, 20),
+)
+
+
+@st.composite
+def _code_matrices(draw):
+    n = draw(st.integers(1, 6))
+    c = draw(st.integers(1, 5))
+    gene_ids = draw(st.lists(_CODE_GENE_ID, min_size=n, max_size=n, unique_by=str))
+    condition_ids = draw(st.lists(_ID, min_size=c, max_size=c, unique=True))
+    codes = draw(st.lists(st.lists(st.sampled_from([-1, 0, 1]), min_size=c, max_size=c),
+                          min_size=n, max_size=n))
+    return DiscretizedMatrix(gene_ids, condition_ids, np.array(codes, dtype=np.int8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=_code_matrices(), delimiter=st.sampled_from(["\t", ",", ";", "-", "1"]))
+def test_code_table_text_matches_oracle_and_reads_back(d, delimiter):
+    # "-" and "1" are characters codes are written with, so their cells are quoted
+    text = matrix_to_text(d, delimiter)
+    assert text == oracle_matrix_to_text(d, delimiter)
+    back = oracle_parse_discretized(text, delimiter)
+    assert back.gene_ids == tuple(map(str, d.gene_ids))
+    assert np.array_equal(back.values, d.values)
+
+
 _TOKEN = st.one_of(
     st.sampled_from(["NA", "na", "nA", "Na", "", " NA ", " ", "nan", "-nan", "NaN", "bogus"]),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -612,6 +641,19 @@ def test_parse_and_write_match_oracles_on_wide_synthetic_input():
     assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
     d = discretize(min_max_normalize(drop_incomplete_genes(got)))
     assert matrix_to_text(d, ",") == oracle_matrix_to_text(d, ",")
+
+
+def test_discretized_render_peak_memory_is_a_few_texts():
+    d = discretize(min_max_normalize(drop_incomplete_genes(_wide_synthetic_matrix())))
+    # one Python string per cell took 19x the text's length here
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        text = matrix_to_text(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 4 * len(text)
 
 
 def test_parse_peak_memory_is_a_few_value_arrays():
