@@ -8,7 +8,6 @@ import numpy as np
 from genecluster import (
     Dataset,
     SilhouetteReport,
-    compact_cluster,
     ecia_initialize,
     kmeans,
     silhouette_scores,
@@ -51,9 +50,8 @@ def published_patterns():
             per_point=(),
             per_cluster=tuple((j, 1, v) for j, v in enumerate(means)),
             global_mean=float(np.mean(means)),
-            compact_cluster=-1,
         )
-        best = compact_cluster(report)
+        best = report.compact_cluster
         print(f"{name}: cluster means {means} -> most compact C{best + 1}")
 
 

@@ -23,11 +23,7 @@ from .errors import (
     PipelineError,
     ValidationError,
 )
-from .evaluation import (
-    SilhouetteReport,
-    compact_cluster,
-    silhouette_scores,
-)
+from .evaluation import SilhouetteReport, silhouette_scores
 from .matrix import (
     DiscretizedMatrix,
     ExpressionMatrix,
@@ -92,7 +88,6 @@ __all__ = [
     "build_table",
     "cluster_label",
     "cluster_pipeline",
-    "compact_cluster",
     "dependency",
     "discretize",
     "drop_incomplete_genes",

@@ -13,12 +13,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import typing
 from pathlib import Path
-
-import numpy as np
 
 from .clustering import MODES, STRATEGIES, Dataset
 from .errors import (
@@ -37,6 +34,7 @@ from .pipeline import (
     cluster_label,
     cluster_table,
     parse_formats,
+    read_assignment,
     run_many,
     run_pipeline,
     silhouette_rows,
@@ -143,44 +141,14 @@ def cmd_generate(args):
     return 0
 
 
-def _load_assignment(path):
-    try:
-        payload = json.loads(read_utf8(path))
-    except (ParseError, json.JSONDecodeError) as err:
-        raise ParseError(f"{path}: {err}") from err
-    if not isinstance(payload, dict):
-        raise ParseError(f"{path}: assignment file must hold a JSON object")
-    for key in ("point_ids", "labels", "nearest_dist", "centroids"):
-        if key not in payload:
-            raise ParseError(f"{path}: assignment file lacks {key!r}")
-    return payload
-
-
-def _assignment_array(path, payload, key, dtype=None):
-    try:
-        return np.array(payload[key], dtype=dtype)
-    except (TypeError, ValueError) as err:
-        raise ValidationError(f"{path}: bad {key!r}: {err}") from err
-
-
 def cmd_evaluate(args):
     check_delimiter(args.delimiter)
     formats = parse_formats(args.format)
     matrix = read_matrix(args.data, delimiter=args.delimiter)
     path = args.assignment
-    payload = _load_assignment(path)
-    if payload["point_ids"] != list(matrix.gene_ids):
-        raise ValidationError("assignment point ids do not match the data matrix rows")
-    labels = _assignment_array(path, payload, "labels")
-    # np.array would truncate a label of 0.7 to 0 under an integer dtype
-    if labels.ndim != 1 or (labels.size and labels.dtype.kind not in "iu"):
-        raise ValidationError(f"{path}: 'labels' must be a list of integers")
-    _assignment_array(path, payload, "nearest_dist", float)  # read only to check it
-    centroids = _assignment_array(path, payload, "centroids", float)
-    if centroids.ndim != 2 or not len(centroids):
-        raise ValidationError("centroids must be a non-empty 2-d array")
+    labels, k = read_assignment(path, matrix.gene_ids)
     try:
-        report = silhouette_scores(Dataset.from_matrix(matrix), labels, len(centroids))
+        report = silhouette_scores(Dataset.from_matrix(matrix), labels, k)
     except ValueError as err:  # fewer than two non-empty clusters
         raise ValidationError(f"{path}: {err}") from err
     print(cluster_table(silhouette_rows(report), "{:.6f}".format))

@@ -20,21 +20,14 @@ class SilhouetteReport:
     per_point: tuple  # (point_id, cluster, score)
     per_cluster: tuple  # (cluster, size, mean score), non-empty clusters only
     global_mean: float
-    compact_cluster: int
 
-    def to_dict(self):
-        return {
-            "per_point": [
-                {"id": pid, "cluster": c, "silhouette": s}
-                for pid, c, s in self.per_point
-            ],
-            "per_cluster": [
-                {"cluster": c, "size": n, "mean_silhouette": m}
-                for c, n, m in self.per_cluster
-            ],
-            "global_mean": self.global_mean,
-            "compact_cluster": self.compact_cluster,
-        }
+    @property
+    def compact_cluster(self):
+        """Cluster with the highest mean silhouette; max keeps the first, so
+        ties go to the lowest index."""
+        if not self.per_cluster:
+            raise ValueError("report has no clusters")
+        return max(self.per_cluster, key=lambda row: row[2])[0]
 
 
 def silhouette_scores(d, labels, k):
@@ -109,7 +102,6 @@ def silhouette_scores(d, labels, k):
         per_point=per_point,
         per_cluster=per_cluster,
         global_mean=float(scores.mean()),
-        compact_cluster=_argmax_cluster(per_cluster),
     )
 
 
@@ -117,15 +109,3 @@ def _carried_sum(carry, terms, axis):
     """carry + terms[0] + terms[1] + ... along axis, added one term at a time."""
     stacked = np.concatenate([np.expand_dims(carry, axis), terms], axis=axis)
     return np.add.accumulate(stacked, axis=axis, out=stacked).take(-1, axis=axis)
-
-
-def _argmax_cluster(per_cluster):
-    """Cluster of the highest mean; max keeps the first, so ties go to the lowest."""
-    return max(per_cluster, key=lambda row: row[2])[0]
-
-
-def compact_cluster(r):
-    """Cluster with the highest mean silhouette; ties go to the lowest index."""
-    if not r.per_cluster:
-        raise ValueError("report has no clusters")
-    return _argmax_cluster(r.per_cluster)

@@ -118,9 +118,10 @@ class DiscretizedMatrix(_LabeledMatrix):
     _dtype = np.int8
 
     def __post_init__(self):
-        super().__post_init__()
+        # checked before the int8 cast, which would turn 1.5, 257 or NaN into a code
         if not np.isin(self.values, (-1, 0, 1)).all():
             raise ValidationError("discretized entries must be -1, 0 or +1")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -206,8 +207,10 @@ def parse_matrix(text, orientation=GENES_AS_ROWS, delimiter="\t"):
         if "" in col_ids:
             field = col_ids.index("") + 2
             raise ParseError(f"header field {field}: empty column id", line=header_no)
-        # every record takes at least one line, so this bounds the data rows
-        values = np.empty((text.count("\n") + 1, len(col_ids)))
+        # every record takes at least one line, and every stored one at least
+        # len(header) characters (its id and delimiters): blank lines add none
+        rows = min(text.count("\n"), len(text) // len(header)) + 1
+        values = np.empty((rows, len(col_ids)))
         row_ids = []
         for line_no, row in records:
             if len(row) != len(header):

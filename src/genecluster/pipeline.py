@@ -15,11 +15,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from .clustering import MODES, STRATEGIES, ClusterAssignment, Dataset, cluster_pipeline
 from .errors import (
     ConfigError,
     EmptyMatrixError,
     GeneClusterError,
+    ParseError,
     PipelineError,
     ValidationError,
 )
@@ -32,11 +35,12 @@ from .matrix import (
     drop_incomplete_genes,
     min_max_normalize,
     read_matrix,
+    read_utf8,
     subset_genes,
     write_matrix,
     write_new_file,
 )
-from .roughset import build_table, fraction_dict, usqr_reduct
+from .roughset import build_table, usqr_reduct
 
 FORMATS = ("json", "tsv")
 
@@ -145,7 +149,7 @@ class PipelineReport:
         selection = {"enabled": self.config.select}
         if self.config.select:
             selection["selected_gene_ids"] = list(self.reduct.selected)
-            selection["rounds"] = [r.to_dict() for r in self.reduct.trace]
+            selection["rounds"] = [round_dict(r) for r in self.reduct.trace]
             selection["final_mean_dependency"] = fraction_dict(self.reduct.final_mean_dependency)
         out = {
             "shape_before": _shape_dict(self.shape_before),
@@ -310,6 +314,47 @@ def _kmeans_facts(assignment):
     }
 
 
+def fraction_dict(f):
+    """An exact rational as the artifacts write it: its reduced ratio and float."""
+    return {"ratio": f"{f.numerator}/{f.denominator}", "value": float(f)}
+
+
+def round_dict(r):
+    """A reduct round as report.json lists it; reduct.json adds its candidates."""
+    return {
+        "attribute": r.attribute,
+        "mean_dependency": fraction_dict(r.mean_dependency),
+        "forced": r.forced,
+    }
+
+
+def reduct_payload(reduct):
+    """reduct.json: each round with its candidates' integer pure totals."""
+    return {
+        "selected": list(reduct.selected),
+        "rounds": [
+            {**round_dict(r), "candidates": list(r.candidates), "totals": list(r.totals),
+             "denominator": r.denominator}
+            for r in reduct.trace
+        ],
+        "final_mean_dependency": fraction_dict(reduct.final_mean_dependency),
+    }
+
+
+def silhouette_payload(sil):
+    """silhouette.json: every point's and every non-empty cluster's score."""
+    return {
+        "per_point": [
+            {"id": pid, "cluster": c, "silhouette": s} for pid, c, s in sil.per_point
+        ],
+        "per_cluster": [
+            {"cluster": c, "size": n, "mean_silhouette": m} for c, n, m in sil.per_cluster
+        ],
+        "global_mean": sil.global_mean,
+        "compact_cluster": sil.compact_cluster,
+    }
+
+
 def _json_document(payload):
     """One line of JSON with sorted keys: without indent, json.dumps runs
     CPython's C encoder instead of its pure-Python one."""
@@ -324,7 +369,7 @@ def write_json(path, payload):
 def write_silhouette(out, sil, formats):
     """Write silhouette.json and/or silhouette.tsv for a report into directory out."""
     if "json" in formats:
-        write_json(out / "silhouette.json", sil.to_dict())
+        write_json(out / "silhouette.json", silhouette_payload(sil))
     if "tsv" in formats:
         text = cluster_table(silhouette_rows(sil), repr)
         write_new_file(out / "silhouette.tsv", text + "\n")
@@ -340,7 +385,7 @@ def _write_artifacts(report, normalized, disc, selected):
         write_matrix(selected, out / "selected.tsv")
     if "json" in config.formats:
         if config.select:
-            write_json(out / "reduct.json", report.reduct.to_dict())
+            write_json(out / "reduct.json", reduct_payload(report.reduct))
         payload = {
             "point_ids": list(selected.gene_ids),
             "labels": assignment.labels.tolist(),
@@ -359,6 +404,38 @@ def _write_artifacts(report, normalized, disc, selected):
         write_new_file(out / "assignment.tsv", "\n".join(rows) + "\n")
         text = cluster_table(report.clusters, repr)
         write_new_file(out / "report.tsv", text + "\n")
+
+
+def read_assignment(path, point_ids):
+    """Labels and k of the assignment.json at path, whose points must be
+    point_ids in order; k is the number of its centroids."""
+    try:
+        payload = json.loads(read_utf8(path))
+    except (ParseError, json.JSONDecodeError) as err:
+        raise ParseError(f"{path}: {err}") from err
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path}: assignment file must hold a JSON object")
+    for key in ("point_ids", "labels", "nearest_dist", "centroids"):
+        if key not in payload:
+            raise ParseError(f"{path}: assignment file lacks {key!r}")
+    if payload["point_ids"] != list(point_ids):
+        raise ValidationError("assignment point ids do not match the data matrix rows")
+
+    def array(key, dtype=None):
+        try:
+            return np.array(payload[key], dtype=dtype)
+        except (TypeError, ValueError) as err:
+            raise ValidationError(f"{path}: bad {key!r}: {err}") from err
+
+    labels = array("labels")
+    # np.array would truncate a label of 0.7 to 0 under an integer dtype
+    if labels.ndim != 1 or (labels.size and labels.dtype.kind not in "iu"):
+        raise ValidationError(f"{path}: 'labels' must be a list of integers")
+    array("nearest_dist", float)  # read only to check it
+    centroids = array("centroids", float)
+    if centroids.ndim != 2 or not len(centroids):
+        raise ValidationError("centroids must be a non-empty 2-d array")
+    return labels, len(centroids)
 
 
 @dataclass

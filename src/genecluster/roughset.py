@@ -160,7 +160,7 @@ class ReductRound:
     """One accepted round of the greedy search.
 
     total is the pure total the round reaches and totals[i] that of
-    candidates[i], all over denominator; only the round's ratio is written.
+    candidates[i], all over denominator.
     """
 
     attribute: str
@@ -181,14 +181,6 @@ class ReductRound:
         """(attribute, pure total) of every candidate scored in the round."""
         return tuple(zip(self.candidates, self.totals))
 
-    def to_dict(self):
-        """The round as report.json lists it; Reduct.to_dict adds the candidates."""
-        return {
-            "attribute": self.attribute,
-            "mean_dependency": fraction_dict(self.mean_dependency),
-            "forced": self.forced,
-        }
-
 
 @dataclass(frozen=True)
 class Reduct:
@@ -196,23 +188,6 @@ class Reduct:
     trace: tuple
     # the search ends only when every object's block is pure in every attribute
     final_mean_dependency = Fraction(1)
-
-    def to_dict(self):
-        """reduct.json: each round with its candidates' integer pure totals."""
-        return {
-            "selected": list(self.selected),
-            "rounds": [
-                {**r.to_dict(), "candidates": list(r.candidates), "totals": list(r.totals),
-                 "denominator": r.denominator}
-                for r in self.trace
-            ],
-            "final_mean_dependency": fraction_dict(self.final_mean_dependency),
-        }
-
-
-def fraction_dict(f):
-    """An exact rational as the artifacts write it: its reduced ratio and float."""
-    return {"ratio": f"{f.numerator}/{f.denominator}", "value": float(f)}
 
 
 # Candidates scored per tile of a round.  It bounds the round's temporaries

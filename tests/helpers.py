@@ -11,12 +11,12 @@ import csv
 import io
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from genecluster import ExpressionMatrix
 from genecluster.errors import ParseError, ValidationError
-from genecluster.evaluation import SilhouetteReport, _argmax_cluster
 from genecluster.matrix import (
     GENES_AS_ROWS,
     MISSING_OUTPUT_TOKEN,
@@ -210,6 +210,15 @@ def oracle_kmeans(points, init, mode="exact", max_iters=100):
     return labels, nearest, centroids, history[-1][1], iterations, converged, history
 
 
+class OracleSilhouette(NamedTuple):
+    """The fields a SilhouetteReport holds, with the compact cluster stored."""
+
+    per_point: tuple
+    per_cluster: tuple
+    global_mean: float
+    compact_cluster: int
+
+
 def oracle_silhouette_scores(d, labels, k):
     """Silhouette report from the full n x n distance matrix.
 
@@ -217,6 +226,7 @@ def oracle_silhouette_scores(d, labels, k):
     replaced: each point's mean distance to a cluster is `.mean(axis=1)` of
     a column gather of the distance matrix, which numpy adds one member at
     a time in ascending point order.  Reports must match it bit for bit.
+    The compact cluster is the first one whose mean is the highest.
     """
     labels = np.asarray(labels)
     if len(labels) != d.n_points:
@@ -251,11 +261,12 @@ def oracle_silhouette_scores(d, labels, k):
     per_cluster = tuple(
         (j, len(members[j]), float(scores[members[j]].mean())) for j in occupied
     )
-    return SilhouetteReport(
+    means = [mean for _, _, mean in per_cluster]
+    return OracleSilhouette(
         per_point=per_point,
         per_cluster=per_cluster,
         global_mean=float(scores.mean()),
-        compact_cluster=_argmax_cluster(per_cluster),
+        compact_cluster=per_cluster[means.index(max(means))][0],
     )
 
 

@@ -19,7 +19,6 @@ from genecluster import (
     PipelineConfig,
     SilhouetteReport,
     cluster_pipeline,
-    compact_cluster,
     dependency,
     discretize,
     ecia_initialize,
@@ -252,9 +251,9 @@ def test_criterion_8_table_structure():
     yeast = [0.621, 0.597, 0.584, 0.471, 0.421, 0.327, 0.697]
     for means, want in ((serum, 0), (yeast, 6)):
         rep = SilhouetteReport(
-            (), tuple((j, 3, v) for j, v in enumerate(means)), float(np.mean(means)), -1
+            (), tuple((j, 3, v) for j, v in enumerate(means)), float(np.mean(means))
         )
-        assert compact_cluster(rep) == want
+        assert rep.compact_cluster == want
 
 
 @criterion(9, "noise-free planted clusters are recovered exactly up to relabeling")

@@ -13,13 +13,13 @@ from genecluster import (
     SilhouetteReport,
     ValidationError,
     cluster_pipeline,
-    compact_cluster,
     drop_incomplete_genes,
     generate_synthetic,
     min_max_normalize,
     silhouette_scores,
 )
 from genecluster import clustering, evaluation
+from genecluster.pipeline import silhouette_payload
 
 from helpers import oracle_pairwise_distances, oracle_silhouette, oracle_silhouette_scores
 
@@ -150,35 +150,34 @@ def test_point_order_permutation_invariance():
 
 
 def injected_report(means):
-    # compact_cluster() derives its answer from per_cluster alone; the
-    # stored field is irrelevant here, so fill it with a sentinel
+    # compact_cluster derives its answer from per_cluster alone
     per_cluster = tuple((j, 3, m) for j, m in enumerate(means))
-    return SilhouetteReport((), per_cluster, float(np.mean(means)), -1)
+    return SilhouetteReport((), per_cluster, float(np.mean(means)))
 
 
 def test_compact_cluster_serum_profile():
     means = [0.629, 0.532, 0.439, 0.347, 0.301, 0.397, 0.309]
-    assert compact_cluster(injected_report(means)) == 0
+    assert injected_report(means).compact_cluster == 0
 
 
 def test_compact_cluster_yeast_profile():
     means = [0.621, 0.597, 0.584, 0.471, 0.421, 0.327, 0.697]
-    assert compact_cluster(injected_report(means)) == 6
+    assert injected_report(means).compact_cluster == 6
 
 
 def test_compact_cluster_tie_takes_lowest_index():
-    assert compact_cluster(injected_report([0.4, 0.7, 0.7, 0.2])) == 1
+    assert injected_report([0.4, 0.7, 0.7, 0.2]).compact_cluster == 1
 
 
 def test_compact_cluster_empty_report_rejected():
     with pytest.raises(ValueError):
-        compact_cluster(SilhouetteReport((), (), 0.0, -1))
+        SilhouetteReport((), (), 0.0).compact_cluster
 
 
-def test_report_to_dict_round_trip():
+def test_silhouette_payload_round_trip():
     d = make_dataset([0.0, 1.0, 10.0, 11.0])
     r = silhouette_scores(d, [0, 0, 1, 1], 2)
-    out = r.to_dict()
+    out = silhouette_payload(r)
     assert [row["id"] for row in out["per_point"]] == ["p0", "p1", "p2", "p3"]
     assert [row["cluster"] for row in out["per_cluster"]] == [0, 1]
     assert out["compact_cluster"] == 0
@@ -211,7 +210,7 @@ def assert_same_report(got, want):
     assert got.global_mean == want.global_mean
     assert got.compact_cluster == want.compact_cluster
     # the serialized form also tells -0.0 from 0.0
-    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    assert json.dumps(silhouette_payload(got)) == json.dumps(silhouette_payload(want))
 
 
 def random_case(rng):

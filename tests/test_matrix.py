@@ -404,6 +404,16 @@ def test_discretized_matrix_validates_alphabet():
         DiscretizedMatrix(("g1",), ("t1",), [[2]])
 
 
+@pytest.mark.parametrize(
+    "values", [[[1.5, -0.7]], np.array([[257, -255]]), [[math.nan, 1.0]]]
+)
+def test_discretized_matrix_checks_values_before_the_int8_cast(values):
+    # cast first, these would be stored as [[1, 0]], [[1, 1]] and [[0, 1]]
+    with pytest.raises(ValidationError):
+        DiscretizedMatrix(("g1",), ("t1", "t2"), values)
+    assert DiscretizedMatrix(("g1",), ("t1", "t2"), [[1.0, -1.0]]).values.tolist() == [[1, -1]]
+
+
 def test_text_round_trip_floats():
     rng = np.random.default_rng(12)
     values = rng.normal(scale=7.3, size=(8, 4))
@@ -667,3 +677,19 @@ def test_parse_peak_memory_is_a_few_value_arrays():
     finally:
         tracemalloc.stop()
     assert peak - start <= 4 * m.values.nbytes
+
+
+def test_parse_peak_memory_ignores_blank_lines():
+    conditions = [f"t{j}" for j in range(2000)]
+    text = "\t".join(["id", *conditions]) + "\n" + "\t".join(["g1"] + ["0"] * 2000)
+    text += "\n" * 20000
+    # one preallocated row per line took 305.6 MiB here
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        m = parse_matrix(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.shape == (1, 2000)
+    assert peak - start < 2 * 2**20

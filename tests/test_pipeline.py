@@ -31,7 +31,7 @@ from genecluster import (
     run_pipeline,
     write_matrix,
 )
-from genecluster import roughset
+from genecluster import cli, clustering, evaluation, matrix, roughset
 
 from helpers import bump_matrix
 
@@ -380,6 +380,17 @@ def test_roughset_imports_nothing_from_matrix():
     tree = ast.parse(Path(roughset.__file__).read_text())
     imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
     assert not [n for n in imports if "matrix" in (n.module, *(a.name for a in n.names))]
+
+
+@pytest.mark.parametrize("module", [roughset, evaluation, clustering, matrix, cli])
+def test_only_the_pipeline_knows_json_layouts(module):
+    # every artifact layout, and its reader, lives in pipeline.py
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    imported |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert "json" not in imported
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    assert "to_dict" not in {n.name for n in ast.walk(tree) if isinstance(n, functions)}
 
 
 def test_cluster_label_format():

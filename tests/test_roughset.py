@@ -27,6 +27,7 @@ from genecluster import (
     usqr_reduct,
 )
 from genecluster import roughset
+from genecluster.pipeline import reduct_payload, round_dict
 from helpers import (
     oracle_dependency,
     oracle_mean_dependency,
@@ -330,8 +331,8 @@ def test_usqr_matches_per_candidate_oracle_on_random_tables():
     for t in _oracle_case_tables(400, seed=110):
         got, want = usqr_reduct(t), oracle_usqr_reduct(t)
         assert got == want
-        assert got.to_dict() == oracle_reduct_dict(want)
-        _assert_candidate_ratios(got.to_dict(), want)
+        assert reduct_payload(got) == oracle_reduct_dict(want)
+        _assert_candidate_ratios(reduct_payload(got), want)
         sizes.add(t.n_objects)
     assert 1 in sizes and max(sizes) > 8
 
@@ -345,8 +346,8 @@ def test_usqr_matches_per_candidate_oracle_on_synthetic_800x20():
     t = _synthetic_table(800, 20, seed=1)
     got, want = usqr_reduct(t), oracle_usqr_reduct(t)
     assert got == want
-    assert got.to_dict() == oracle_reduct_dict(want)
-    _assert_candidate_ratios(got.to_dict(), want)
+    assert reduct_payload(got) == oracle_reduct_dict(want)
+    _assert_candidate_ratios(reduct_payload(got), want)
     assert sum(len(r.candidate_scores) for r in got.trace) == sum(
         t.n_attributes - i for i in range(len(got.trace))
     )
@@ -427,21 +428,21 @@ def test_usqr_trace_serialization():
     rng = np.random.default_rng(106)
     t = make_table(rng.integers(0, 3, size=(6, 4)))
     reduct = usqr_reduct(t)
-    d = reduct.to_dict()
+    d = reduct_payload(reduct)
     assert d["selected"] == list(reduct.selected)
     assert d["final_mean_dependency"]["ratio"].count("/") == 1
     columns = {"candidates", "totals", "denominator"}
     for r, full in zip(reduct.trace, d["rounds"], strict=True):
         assert set(full) == {"attribute", "mean_dependency", "forced"} | columns
         assert all(type(v) is int for v in (*full["totals"], full["denominator"]))
-        assert r.to_dict() == {k: v for k, v in full.items() if k not in columns}
+        assert round_dict(r) == {k: v for k, v in full.items() if k not in columns}
 
 
 def test_slim_trace_never_formats_candidate_scores():
     reduct = usqr_reduct(make_table(np.random.default_rng(107).integers(0, 3, size=(6, 4))))
     # candidates and totals that cannot be read: the round's own dict must not touch them
     for r in reduct.trace:
-        assert dataclasses.replace(r, candidates=None, totals=None).to_dict() == r.to_dict()
+        assert round_dict(dataclasses.replace(r, candidates=None, totals=None)) == round_dict(r)
 
 
 def _matrix_pair(values):
