@@ -32,7 +32,7 @@ def show_basics():
     t = hand_table()
     part = indiscernibility_partition(t, ("a1", "a2"))
     print("blocks of conditions that agree on both attributes:")
-    for block in part.blocks:
+    for block in part:
         print("  ", sorted(t.object_ids[i] for i in block))
     positive = positive_region(t, ("a1",), "a2")
     print(f"objects whose a1 value pins down a2: {sorted(positive)}")

@@ -18,8 +18,8 @@ def seeded_walkthrough():
     a = kmeans(d, init)
     print(f"labels {a.labels.tolist()}, centroids {a.centroids.vectors.ravel().tolist()}")
     print(f"converged after {a.iterations} pass(es), wcss {a.wcss}")
-    for h in a.history:
-        print(f"  pass {h.iteration}: wcss {h.wcss}, label changes {h.label_changes}")
+    for i, h in enumerate(a.history):
+        print(f"  pass {i}: wcss {h.wcss}, label changes {h.label_changes}")
 
     # negative coordinates are shifted non-negative before measuring distance,
     # so the ordering is taken from a consistent frame

@@ -10,6 +10,7 @@ from .clustering import (
     Centroids,
     ClusterAssignment,
     Dataset,
+    IterationStats,
     cluster_pipeline,
     ecia_initialize,
     kmeans,
@@ -37,7 +38,6 @@ from .matrix import (
     subset_genes,
     write_matrix,
 )
-from .clustering import IterationStats
 from .pipeline import (
     ClusterRow,
     MultiRunResult,
@@ -50,7 +50,6 @@ from .pipeline import (
 )
 from .roughset import (
     InformationTable,
-    Partition,
     Reduct,
     build_table,
     dependency,
@@ -78,7 +77,6 @@ __all__ = [
     "MultiRunResult",
     "NormalizationParams",
     "ParseError",
-    "Partition",
     "PipelineConfig",
     "PipelineError",
     "PipelineReport",

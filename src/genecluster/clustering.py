@@ -78,15 +78,17 @@ class Centroids:
 
 @dataclass(frozen=True, eq=False)
 class IterationStats:
-    """Per-pass audit record; iteration 0 is the initial assignment."""
+    """Audit record of one pass; its iteration is its index in ClusterAssignment.history."""
 
-    iteration: int
     wcss: float
     label_changes: int
-    shortcut_kept: int
     # shortcut mode only: three read-only arrays over the points (distance to
     # the own new centroid, nearest distance stored before the pass, kept)
     shortcut_audit: tuple | None
+
+    @property
+    def shortcut_kept(self):
+        return 0 if self.shortcut_audit is None else int(self.shortcut_audit[2].sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,18 +96,29 @@ class ClusterAssignment:
     labels: np.ndarray
     nearest_dist: np.ndarray
     centroids: Centroids
-    iterations: int
-    converged: bool
-    wcss: float
-    history: tuple
+    history: tuple  # IterationStats of the initial assignment, then of every pass
 
     def __post_init__(self):
+        if not self.history:
+            raise ValidationError("history must hold at least the initial assignment")
         labels = np.array(self.labels, dtype=np.int64)
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         nearest = np.array(self.nearest_dist, dtype=float)
         nearest.setflags(write=False)
         object.__setattr__(self, "nearest_dist", nearest)
+
+    @property
+    def iterations(self):
+        return len(self.history) - 1
+
+    @property
+    def converged(self):
+        return self.history[-1].label_changes == 0
+
+    @property
+    def wcss(self):
+        return self.history[-1].wcss
 
     @property
     def k(self):
@@ -241,35 +254,28 @@ def kmeans(d, init, mode="exact", max_iters=100):
         )
     _check_k(len(centroids), d.n_points)
     labels, nearest = _assign(points, centroids)
-    history = [
-        IterationStats(0, _wcss(points, centroids, labels), len(points), 0, None)
-    ]
-    for it in range(1, max_iters + 1):
+    history = [IterationStats(_wcss(points, centroids, labels), len(points), None)]
+    for _ in range(max_iters):
         centroids = _update(points, labels, centroids)
         new_labels, new_nearest = labels.copy(), nearest.copy()
-        rescan, kept, audit = slice(None), 0, None  # exact: every point, as a view
+        rescan, audit = slice(None), None  # exact: every point, as a view
         if mode == "shortcut":
             own = np.sqrt(((points - centroids[labels]) ** 2).sum(axis=1))
             keep = own <= nearest
             new_nearest[keep] = own[keep]
-            rescan, kept, audit = ~keep, int(keep.sum()), (own, nearest, keep)
+            rescan, audit = ~keep, (own, nearest, keep)
             for array in audit:  # nothing writes to the stored nearest after this
                 array.setflags(write=False)
         new_labels[rescan], new_nearest[rescan] = _assign(points[rescan], centroids)
         changes = int((new_labels != labels).sum())
         labels, nearest = new_labels, new_nearest
-        history.append(
-            IterationStats(it, _wcss(points, centroids, labels), changes, kept, audit)
-        )
+        history.append(IterationStats(_wcss(points, centroids, labels), changes, audit))
         if changes == 0:
             break
     return ClusterAssignment(
         labels=labels,
         nearest_dist=nearest,
         centroids=Centroids(centroids, init.provenance),
-        iterations=len(history) - 1,
-        converged=history[-1].label_changes == 0,
-        wcss=history[-1].wcss,
         history=tuple(history),
     )
 

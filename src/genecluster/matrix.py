@@ -12,6 +12,7 @@ import io
 import itertools
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,22 +40,21 @@ _NUMBER_CHARS = frozenset("0123456789.+-eEinfaNA")
 _CODE_TEXT = {0: "0", 1: "1", 255: "-1"}
 
 
-def _check_ids(labels, kind):
-    r"""Ids are unique and hold no "\r": a csv writer leaves "\r" unquoted, so
-    no file keeps it."""
+def _bad_id(labels, kind):
+    r"""Position and message of the first id that repeats an earlier one or
+    holds "\r" (a csv writer leaves "\r" unquoted, so no file keeps it), or
+    None when every id is fine."""
     try:
-        plain = len(set(labels)) == len(labels) and "\r" not in "".join(labels)
+        if len(set(labels)) == len(labels) and "\r" not in "".join(labels):
+            return None
     except TypeError:  # an id that is not a str
-        plain = False
-    if plain:
-        return
-    # name the first offending id
+        pass
     seen = set()
-    for lab in labels:
+    for i, lab in enumerate(labels):
         if lab in seen:
-            raise ValidationError(f"duplicate {kind} id: {lab!r}")
+            return i, f"duplicate {kind} id: {lab!r}"
         if "\r" in str(lab):
-            raise ValidationError(f"{kind} id holds a carriage return: {lab!r}")
+            return i, f"{kind} id holds a carriage return: {lab!r}"
         seen.add(lab)
 
 
@@ -87,8 +87,8 @@ class _LabeledMatrix:
             )
         if self.n_genes == 0 or self.n_conditions == 0:
             raise ValidationError("matrix must have at least one gene and one condition")
-        _check_ids(self.gene_ids, "gene")
-        _check_ids(self.condition_ids, "condition")
+        if fault := _bad_id(self.gene_ids, "gene") or _bad_id(self.condition_ids, "condition"):
+            raise ValidationError(fault[1])
 
     @property
     def n_genes(self):
@@ -188,11 +188,12 @@ def parse_matrix(text, orientation=GENES_AS_ROWS, delimiter="\t"):
     conditions; "genes-as-columns" is the transpose and is flipped into the
     canonical genes-by-conditions layout.  The orientation is never guessed.
 
-    Rows are read one at a time into a preallocated float64 array, each row
-    converted by one float() pass; a row that pass rejects is tried again
-    with its bare missing tokens read as "nan", and a row that still fails
-    (a padded missing token, a bad cell) is converted cell by cell, which
-    names the bad cell.
+    Rows are read one at a time and appended to one array of doubles, each
+    row converted by one float() pass; a row that pass rejects is tried
+    again with its bare missing tokens read as "nan", and a row that still
+    fails (a padded missing token, a bad cell) is converted cell by cell,
+    which names the bad cell.  A repeated id, or one holding "\r", is then
+    a ParseError at its line (and header field).
     """
     if orientation not in ORIENTATIONS:
         raise ValidationError(f"unknown orientation: {orientation!r}")
@@ -207,10 +208,7 @@ def parse_matrix(text, orientation=GENES_AS_ROWS, delimiter="\t"):
         if "" in col_ids:
             field = col_ids.index("") + 2
             raise ParseError(f"header field {field}: empty column id", line=header_no)
-        # every record takes at least one line, and every stored one at least
-        # len(header) characters (its id and delimiters): blank lines add none
-        rows = min(text.count("\n"), len(text) // len(header)) + 1
-        values = np.empty((rows, len(col_ids)))
+        values = array("d")
         row_ids = []
         for line_no, row in records:
             if len(row) != len(header):
@@ -222,17 +220,15 @@ def parse_matrix(text, orientation=GENES_AS_ROWS, delimiter="\t"):
                 raise ParseError("empty row id", line=line_no)
             cells = row[1:]
             try:
-                values[len(row_ids)] = list(map(float, cells))
+                values.fromlist(list(map(float, cells)))
             except ValueError:
                 try:
-                    values[len(row_ids)] = list(
-                        map(float, map(_MISSING_AS_NAN.get, cells, cells))
-                    )
+                    values.fromlist(list(map(float, map(_MISSING_AS_NAN.get, cells, cells))))
                 except ValueError:
-                    values[len(row_ids)] = [
+                    values.fromlist([
                         _parse_cell(field, line_no, col_ids[j])
                         for j, field in enumerate(cells)
-                    ]
+                    ])
             row_ids.append(row_id)
     except ParseError:
         # a csv error later in the text takes precedence, as it did when every
@@ -242,7 +238,7 @@ def parse_matrix(text, orientation=GENES_AS_ROWS, delimiter="\t"):
         raise
     if not row_ids:
         raise ParseError("no data rows after the header")
-    values = values[: len(row_ids)]
+    values = np.frombuffer(values).reshape(len(row_ids), len(col_ids))
     infinite = np.argwhere(np.isinf(values))
     if len(infinite):
         r, c = infinite[0]
@@ -251,9 +247,16 @@ def parse_matrix(text, orientation=GENES_AS_ROWS, delimiter="\t"):
             f"column {col_ids[c]!r}: not a finite number: {row[1 + c].strip()!r}",
             line=line_no,
         )
-    if orientation == GENES_AS_ROWS:
-        return ExpressionMatrix(tuple(row_ids), col_ids, values)
-    return ExpressionMatrix(col_ids, tuple(row_ids), values.T)
+    flip = orientation == GENES_AS_COLUMNS
+    genes, conditions = (col_ids, tuple(row_ids)) if flip else (tuple(row_ids), col_ids)
+    for ids, kind, in_header in ((genes, "gene", flip), (conditions, "condition", not flip)):
+        if fault := _bad_id(ids, kind):
+            i, message = fault
+            if in_header:
+                raise ParseError(f"header field {i + 2}: {message}", line=header_no)
+            line_no, _ = next(itertools.islice(_records(text, delimiter), 1 + i, None))
+            raise ParseError(message, line=line_no)
+    return ExpressionMatrix(genes, conditions, values.T if flip else values)
 
 
 def _infer_delimiter(path):

@@ -120,12 +120,16 @@ class ClusterRow(NamedTuple):
 @dataclass
 class PipelineReport:
     shape_before: tuple
-    shape_after: tuple
     config: PipelineConfig
     reduct: object  # Reduct, or None when selection is off
     assignment: ClusterAssignment
     silhouette: SilhouetteReport | None  # None with fewer than two non-empty clusters
     timings: dict
+
+    @property
+    def shape_after(self):
+        """(genes clustered, conditions): selection keeps every condition."""
+        return (len(self.assignment.labels), self.shape_before[1])
 
     @property
     def clusters(self):
@@ -290,7 +294,6 @@ def run_pipeline(config):
 
     report = PipelineReport(
         shape_before=raw.shape,
-        shape_after=selected.shape,
         config=config,
         reduct=reduct,
         assignment=assignment,

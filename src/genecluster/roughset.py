@@ -78,20 +78,6 @@ class InformationTable:
         return tuple(sorted(set(idx)))
 
 
-@dataclass(frozen=True, eq=False)
-class Partition:
-    """Disjoint non-empty blocks of object indices, covering every object."""
-
-    blocks: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "blocks",
-            tuple(sorted((frozenset(b) for b in self.blocks), key=min)),
-        )
-
-
 def _refine(group_ids, col_codes):
     key = group_ids * (int(col_codes.max()) + 1) + col_codes
     _, inv = np.unique(key, return_inverse=True)
@@ -121,16 +107,16 @@ def _pure(codes, group):
 
 
 def indiscernibility_partition(table, attrs):
-    """Partition of the objects into blocks agreeing on every given attribute.
+    """Tuple of the frozenset blocks of objects agreeing on every given attribute.
 
     An empty attribute set cannot tell any two objects apart, so it yields
     the single whole-universe block.
     """
     g = _group_ids(table, table.attribute_indices(attrs))
     blocks = {}
-    for obj, gid in enumerate(g):
+    for obj, gid in enumerate(g):  # ascending: a block is first seen at its smallest member
         blocks.setdefault(int(gid), []).append(obj)
-    return Partition(tuple(frozenset(b) for b in blocks.values()))
+    return tuple(frozenset(b) for b in blocks.values())
 
 
 def positive_region(table, attrs, target):
@@ -184,10 +170,13 @@ class ReductRound:
 
 @dataclass(frozen=True)
 class Reduct:
-    selected: tuple
-    trace: tuple
+    trace: tuple  # ReductRound of every accepted round, in order
     # the search ends only when every object's block is pure in every attribute
     final_mean_dependency = Fraction(1)
+
+    @property
+    def selected(self):
+        return tuple(r.attribute for r in self.trace)
 
 
 # Candidates scored per tile of a round.  It bounds the round's temporaries
@@ -301,7 +290,7 @@ def usqr_reduct(table):
         )
         group = _refine(group, codes[:, j])
         remaining = np.delete(remaining, best)
-    return Reduct(tuple(r.attribute for r in trace), tuple(trace))
+    return Reduct(tuple(trace))
 
 
 def build_table(d):

@@ -363,7 +363,8 @@ def oracle_usqr_reduct(table):
                 tuple(a for a, _ in scores), tuple(s for _, s in scores), denominator,
             )
         )
-    return Reduct(tuple(selected), tuple(trace))
+    assert selected == [r.attribute for r in trace]
+    return Reduct(tuple(trace))
 
 
 def _oracle_fraction_dict(f):

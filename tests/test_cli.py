@@ -163,7 +163,7 @@ def test_run_carriage_return_in_id_is_input_error(tmp_path, capsys):
     path = tmp_path / "cr.tsv"
     for data, message in (
         (b"id\tt1\ng\r1\t1\ng2\t2\n", "line 2: new-line character seen in unquoted field"),
-        (b'id\tt1\n"g\r1"\t1\ng2\t2\n', "gene id holds a carriage return: 'g\\r1'"),
+        (b'id\tt1\n"g\r1"\t1\ng2\t2\n', "line 2: gene id holds a carriage return: 'g\\r1'"),
         (b"id\tt1\rg1\t1\rg2\t2\r", "line 1: new-line character seen in unquoted field"),
     ):
         path.write_bytes(data)
@@ -198,7 +198,17 @@ def test_run_duplicate_gene_in_genes_as_columns_header_is_input_error(tmp_path, 
         "--no-select", "--k", "1",
     ])
     assert code == 3
-    assert "stage 'parse': duplicate gene id: 'g1'" in capsys.readouterr().err
+    assert "stage 'parse': line 1: header field 4: duplicate gene id: 'g1'" in (
+        capsys.readouterr().err
+    )
+
+
+def test_run_repeated_gene_id_names_its_line(tmp_path, capsys):
+    path = tmp_path / "repeat.tsv"
+    path.write_text("id\tt1\tt2\ng1\t1\t2\ng2\t3\t4\ng1\t5\t6\n")
+    code = main(["run", "--input", str(path), "--no-select", "--k", "1"])
+    assert code == 3
+    assert "stage 'parse': line 4: duplicate gene id: 'g1'" in capsys.readouterr().err
 
 
 def test_run_empty_gene_id_is_input_error(tmp_path, capsys):

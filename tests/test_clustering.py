@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from genecluster import (
     Centroids,
+    ClusterAssignment,
     Dataset,
     ExpressionMatrix,
     ValidationError,
@@ -371,8 +372,8 @@ def test_kmeans_independent_of_block_size(monkeypatch, mode):
     assert got.nearest_dist.tolist() == want.nearest_dist.tolist()
     assert got.wcss == want.wcss
     for g, w in zip(got.history, want.history, strict=True):
-        assert (g.iteration, g.wcss, g.label_changes, g.shortcut_kept) == (
-            w.iteration, w.wcss, w.label_changes, w.shortcut_kept
+        assert (g.wcss, g.label_changes, g.shortcut_kept) == (
+            w.wcss, w.label_changes, w.shortcut_kept
         )
         if w.shortcut_audit is None:
             assert g.shortcut_audit is None
@@ -417,15 +418,20 @@ def test_kmeans_matches_oracle(case):
     assert got.nearest_dist.tolist() == nearest.tolist()
     assert got.centroids.vectors.tolist() == centroids.tolist()
     assert (got.wcss, got.iterations, got.converged) == (wcss, iterations, converged)
-    for h, (it, h_wcss, changes, kept, audit) in zip(got.history, history, strict=True):
-        assert (h.iteration, h.wcss, h.label_changes, h.shortcut_kept) == (
-            it, h_wcss, changes, kept
-        )
+    for i, (h, (it, h_wcss, changes, kept, audit)) in enumerate(
+        zip(got.history, history, strict=True)
+    ):
+        assert (i, h.wcss, h.label_changes, h.shortcut_kept) == (it, h_wcss, changes, kept)
         if audit is None:
             assert h.shortcut_audit is None
         else:
             assert not any(a.flags.writeable for a in h.shortcut_audit)
             assert list(zip(*(a.tolist() for a in h.shortcut_audit))) == list(audit)
+
+
+def test_cluster_assignment_needs_the_initial_assignment_in_its_history():
+    with pytest.raises(ValidationError, match="history"):
+        ClusterAssignment((0, 0), (0.0, 0.0), Centroids([[0.0]], "ecia"), history=())
 
 
 def test_assign_memory_stays_within_block_budget():

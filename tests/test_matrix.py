@@ -146,15 +146,24 @@ def test_parse_allows_empty_corner_label():
 
 
 def test_parse_duplicate_gene_id():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError, match="^line 3: duplicate gene id: 'g1'$"):
         parse_matrix("id\tt1\ng1\t1\ng1\t2\n")
-    with pytest.raises(ValidationError, match="^duplicate gene id: 'g1'$"):
+    # the line is the file's, blank lines included
+    with pytest.raises(ParseError, match="^line 6: duplicate gene id: 'g1'$") as err:
+        parse_matrix("id\tt1\n\ng1\t1\ng2\t2\n\ng1\t3\n")
+    assert err.value.line == 6
+    with pytest.raises(
+        ParseError, match="^line 1: header field 4: duplicate gene id: 'g1'$"
+    ) as err:
         parse_matrix("id\tg1\tg2\tg1\nt1\t1\t2\t3\n", GENES_AS_COLUMNS)
+    assert err.value.line == 1
 
 
 def test_parse_duplicate_condition_id():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError, match="^line 1: header field 3: duplicate condition id: 't1'$"):
         parse_matrix("id\tt1\tt1\ng1\t1\t2\n")
+    with pytest.raises(ParseError, match="^line 3: duplicate condition id: 't1'$"):
+        parse_matrix("id\tg1\nt1\t1\nt1\t2\n", GENES_AS_COLUMNS)
 
 
 def test_parse_empty_input():
@@ -490,14 +499,21 @@ def test_cell_outcomes_match_oracle(cell, orientation):
 def _assert_outcome_matches_oracle(text, orientation=GENES_AS_ROWS):
     """Parsing gives the oracle's outcome, except that where the oracle lets a
     csv.Error escape the library raises a ParseError with its message and a
-    line."""
+    line, and where the oracle's matrix rejects an id the library raises a
+    ParseError with the id's line (and header field) and the same message."""
     want = _parse_outcome(oracle_parse_matrix, text, orientation)
     got = _parse_outcome(parse_matrix, text, orientation)
     if want[0] == csv.Error.__name__:
         assert got[0] == ParseError.__name__
         assert re.fullmatch(r"line \d+: " + re.escape(want[1]), got[1])
+    elif want[0] == ValidationError.__name__ and _ID_ERROR.match(want[1]):
+        assert got[0] == ParseError.__name__
+        assert re.fullmatch(r"line \d+: (header field \d+: )?" + re.escape(want[1]), got[1])
     else:
         assert got == want
+
+
+_ID_ERROR = re.compile(r"duplicate (gene|condition) id: |(gene|condition) id holds a carriage")
 
 
 @pytest.mark.parametrize("text", [
@@ -512,6 +528,10 @@ def _assert_outcome_matches_oracle(text, orientation=GENES_AS_ROWS):
     "id\tt1\tt2\ng1\t1\t-inf\ng2\tinf\t1\n",
     "id\tt1\n\ng1\t1\n\n\ng2\tx\n",  # blank lines still count
     "id\tt1\ng1\t1\ng1\t2\n",
+    "id\tt1\tt1\ng1\t1\t2\n",
+    'id\tt1\n"g\r1"\t1\n',
+    "id\tt1\ng1\tbogus\ng1\t2\n",  # a bad cell comes before a repeated id
+    "id\tt1\ng1\tinf\ng1\t2\n",  # and so does an infinite one
     "id\tt1\ng1\tbogus\ng2\r1\n",  # a csv error anywhere comes first
     "id\tt1\ng1\t1\r\ng2\t2\r\n",
     "id\tt1\ng1\t1\ng2\t2",
@@ -537,9 +557,11 @@ def test_carriage_return_in_id_is_rejected():
             cls(("g\r1", "g2"), ("t1",), values)
         with pytest.raises(ValidationError, match="condition id holds a carriage return"):
             cls(("g1", "g2"), ("t\r1",), values)
-    with pytest.raises(ValidationError, match=r"^gene id holds a carriage return: 'g\\r1'$"):
+    with pytest.raises(ParseError, match=r"^line 2: gene id holds a carriage return: 'g\\r1'$"):
         parse_matrix('id\tt1\n"g\r1"\t1\ng2\t2\n')
-    with pytest.raises(ValidationError, match="^condition id holds a carriage return"):
+    with pytest.raises(
+        ParseError, match="^line 1: header field 2: condition id holds a carriage return"
+    ):
         parse_matrix('id\t"t\r1"\ng1\t1\n')
     assert ExpressionMatrix((1, 2), ("t1",), [[1.0], [2.0]]).gene_ids == (1, 2)
 

@@ -17,6 +17,7 @@ from genecluster import (
     ConfigError,
     EmptyMatrixError,
     ExpressionMatrix,
+    IterationStats,
     ParseError,
     PipelineConfig,
     PipelineError,
@@ -326,17 +327,13 @@ def test_run_many_writes_runs_summary(small_file, tmp_path):
 def _tiny_report(wcss):
     return PipelineReport(
         shape_before=(2, 2),
-        shape_after=(2, 2),
         config=PipelineConfig("tiny.tsv", select=False, k=1),
         reduct=None,
         assignment=ClusterAssignment(
             labels=(0, 0),
             nearest_dist=(0.0, 0.0),
             centroids=Centroids([[0.0, 0.0]], "ecia"),
-            iterations=1,
-            converged=True,
-            wcss=wcss,
-            history=(),
+            history=(IterationStats(wcss, 2, None),),
         ),
         silhouette=None,
         timings={},

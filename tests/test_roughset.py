@@ -29,6 +29,7 @@ from genecluster import (
 from genecluster import roughset
 from genecluster.pipeline import reduct_payload, round_dict
 from helpers import (
+    oracle_blocks,
     oracle_dependency,
     oracle_mean_dependency,
     oracle_positive_region,
@@ -80,14 +81,25 @@ def test_build_table_single_cell():
 
 def test_indiscernibility_hand_case(hand_table):
     p = indiscernibility_partition(hand_table, ("a", "b"))
-    assert [sorted(b) for b in p.blocks] == [[0], [1], [2, 3]]
+    assert [sorted(b) for b in p] == [[0], [1], [2, 3]]
     p_a = indiscernibility_partition(hand_table, ("a",))
-    assert [sorted(b) for b in p_a.blocks] == [[0, 1], [2, 3]]
+    assert [sorted(b) for b in p_a] == [[0, 1], [2, 3]]
 
 
 def test_indiscernibility_empty_attrs_single_block(hand_table):
     p = indiscernibility_partition(hand_table, ())
-    assert p.blocks == (frozenset({0, 1, 2, 3}),)
+    assert p == (frozenset({0, 1, 2, 3}),)
+
+
+def test_indiscernibility_matches_oracle_blocks_in_order():
+    rng = np.random.default_rng(104)
+    for _ in range(200):
+        values = random_table_values(rng, max_objects=12)
+        t = make_table(values)
+        attrs = [a for a in range(t.n_attributes) if rng.random() < 0.5]
+        got = indiscernibility_partition(t, [t.attribute_ids[a] for a in attrs])
+        # blocks and order: each block sits where its smallest member first appears
+        assert got == tuple(oracle_blocks(values, attrs))
 
 
 def test_indiscernibility_unknown_attribute(hand_table):
@@ -199,8 +211,8 @@ def test_partition_refines_with_more_attrs():
         t = make_table(values)
         coarse = indiscernibility_partition(t, t.attribute_ids[:1])
         fine = indiscernibility_partition(t, t.attribute_ids)
-        for block in fine.blocks:
-            assert any(block <= parent for parent in coarse.blocks)
+        for block in fine:
+            assert any(block <= parent for parent in coarse)
 
 
 def test_usqr_reaches_full_dependency_exactly():
