@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, bad_id
 
 MODES = ("exact", "shortcut")
 # centroid seeding schemes, dispatched on by cluster_pipeline
@@ -39,8 +39,8 @@ class Dataset:
             raise ValidationError("points must be 2-d with one row per point id")
         if pts.shape[0] == 0 or pts.shape[1] == 0:
             raise ValidationError("dataset must have at least one point and one coordinate")
-        if len(set(self.point_ids)) != len(self.point_ids):
-            raise ValidationError("point ids must be unique")
+        if fault := bad_id(self.point_ids, "point"):
+            raise ValidationError(fault[1])
         if not np.isfinite(pts).all():
             raise ValidationError("points must be finite (no missing entries)")
 

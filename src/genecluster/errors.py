@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and the id rule shared across the package."""
 
 
 class GeneClusterError(Exception):
@@ -34,3 +34,21 @@ class PipelineError(GeneClusterError):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+def bad_id(labels, kind):
+    r"""Position and message of the first id that repeats an earlier one or
+    holds "\r" (a csv writer leaves "\r" unquoted, so no file keeps it), or
+    None when every id is fine."""
+    try:
+        if len(set(labels)) == len(labels) and "\r" not in "".join(labels):
+            return None
+    except TypeError:  # an id that is not a str
+        pass
+    seen = set()
+    for i, lab in enumerate(labels):
+        if lab in seen:
+            return i, f"duplicate {kind} id: {lab!r}"
+        if "\r" in str(lab):
+            return i, f"{kind} id holds a carriage return: {lab!r}"
+        seen.add(lab)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyMatrixError, ParseError, ValidationError
+from .errors import EmptyMatrixError, ParseError, ValidationError, bad_id
 
 GENES_AS_ROWS = "genes-as-rows"
 GENES_AS_COLUMNS = "genes-as-columns"
@@ -38,24 +38,6 @@ _NUMBER_CHARS = frozenset("0123456789.+-eEinfaNA")
 
 # The text of each regulation code, keyed by its byte in an int8 array (-1 is 255).
 _CODE_TEXT = {0: "0", 1: "1", 255: "-1"}
-
-
-def _bad_id(labels, kind):
-    r"""Position and message of the first id that repeats an earlier one or
-    holds "\r" (a csv writer leaves "\r" unquoted, so no file keeps it), or
-    None when every id is fine."""
-    try:
-        if len(set(labels)) == len(labels) and "\r" not in "".join(labels):
-            return None
-    except TypeError:  # an id that is not a str
-        pass
-    seen = set()
-    for i, lab in enumerate(labels):
-        if lab in seen:
-            return i, f"duplicate {kind} id: {lab!r}"
-        if "\r" in str(lab):
-            return i, f"{kind} id holds a carriage return: {lab!r}"
-        seen.add(lab)
 
 
 def _freeze(values, dtype):
@@ -87,7 +69,7 @@ class _LabeledMatrix:
             )
         if self.n_genes == 0 or self.n_conditions == 0:
             raise ValidationError("matrix must have at least one gene and one condition")
-        if fault := _bad_id(self.gene_ids, "gene") or _bad_id(self.condition_ids, "condition"):
+        if fault := bad_id(self.gene_ids, "gene") or bad_id(self.condition_ids, "condition"):
             raise ValidationError(fault[1])
 
     @property
@@ -250,7 +232,7 @@ def parse_matrix(text, orientation=GENES_AS_ROWS, delimiter="\t"):
     flip = orientation == GENES_AS_COLUMNS
     genes, conditions = (col_ids, tuple(row_ids)) if flip else (tuple(row_ids), col_ids)
     for ids, kind, in_header in ((genes, "gene", flip), (conditions, "condition", not flip)):
-        if fault := _bad_id(ids, kind):
+        if fault := bad_id(ids, kind):
             i, message = fault
             if in_header:
                 raise ParseError(f"header field {i + 2}: {message}", line=header_no)
@@ -264,10 +246,12 @@ def _infer_delimiter(path):
 
 
 def read_utf8(path):
-    """UTF-8 text of a file, newlines untranslated; a bad byte is a ParseError at its line."""
+    """UTF-8 text of a file, newlines untranslated and a leading BOM dropped;
+    a bad byte is a ParseError at its line."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        # not "utf-8-sig": its err.start would count from after the BOM
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as err:
         line = data.count(b"\n", 0, err.start) + 1
         raise ParseError(f"not UTF-8 text: byte {data[err.start]:#04x}", line) from None
@@ -373,6 +357,11 @@ def subset_genes(m, gene_ids):
     return ExpressionMatrix(kept_ids, m.condition_ids, m.values[keep])
 
 
+def _require_complete(m):
+    if not m.is_complete:
+        raise ValidationError("matrix has missing entries; drop incomplete genes first")
+
+
 def min_max_normalize(m, params=NormalizationParams()):
     """Rescale every condition column linearly onto [new_min, new_max].
 
@@ -381,8 +370,7 @@ def min_max_normalize(m, params=NormalizationParams()):
     mapped to new_min and a warning is emitted.  The input must be complete,
     and a column whose range (max - min) overflows a float is rejected.
     """
-    if not m.is_complete:
-        raise ValidationError("matrix has missing entries; drop incomplete genes first")
+    _require_complete(m)
     v = m.values
     lo = v.min(axis=0)
     hi = v.max(axis=0)
@@ -419,8 +407,7 @@ def discretize(m):
     later code is the sign of the change from the previous condition
     (+1 risen, 0 unchanged, -1 fallen).
     """
-    if not m.is_complete:
-        raise ValidationError("matrix has missing entries; drop incomplete genes first")
+    _require_complete(m)
     first = np.sign(m.values[:, :1])
     if m.n_conditions == 1:
         codes = first

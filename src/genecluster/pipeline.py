@@ -8,7 +8,9 @@ report apart from the timing block.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import time
 from dataclasses import dataclass
@@ -17,7 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clustering import MODES, STRATEGIES, ClusterAssignment, Dataset, cluster_pipeline
+from .clustering import (
+    MODES, STRATEGIES, Centroids, ClusterAssignment, Dataset, cluster_pipeline,
+)
 from .errors import (
     ConfigError,
     EmptyMatrixError,
@@ -401,10 +405,16 @@ def _write_artifacts(report, normalized, disc, selected):
     if report.silhouette is not None:
         write_silhouette(out, report.silhouette, config.formats)
     if "tsv" in config.formats:
-        rows = ["gene\tcluster\tnearest_dist"]
-        for gid, lab, nd in zip(selected.gene_ids, assignment.labels, assignment.nearest_dist):
-            rows.append(f"{gid}\t{cluster_label(int(lab))}\t{float(nd)!r}")
-        write_new_file(out / "assignment.tsv", "\n".join(rows) + "\n")
+        # quoted as the matrices are: an id may hold a tab, '"' or "\n"
+        rows = io.StringIO()
+        writer = csv.writer(rows, delimiter="\t", lineterminator="\n")
+        writer.writerow(("gene", "cluster", "nearest_dist"))
+        writer.writerows(zip(
+            selected.gene_ids,
+            map(cluster_label, assignment.labels.tolist()),
+            map(repr, assignment.nearest_dist.tolist()),
+        ))
+        write_new_file(out / "assignment.tsv", rows.getvalue())
         text = cluster_table(report.clusters, repr)
         write_new_file(out / "report.tsv", text + "\n")
 
@@ -422,7 +432,7 @@ def read_assignment(path, point_ids):
         if key not in payload:
             raise ParseError(f"{path}: assignment file lacks {key!r}")
     if payload["point_ids"] != list(point_ids):
-        raise ValidationError("assignment point ids do not match the data matrix rows")
+        raise ValidationError(f"{path}: assignment point ids do not match the data matrix rows")
 
     def array(key, dtype=None):
         try:
@@ -435,10 +445,7 @@ def read_assignment(path, point_ids):
     if labels.ndim != 1 or (labels.size and labels.dtype.kind not in "iu"):
         raise ValidationError(f"{path}: 'labels' must be a list of integers")
     array("nearest_dist", float)  # read only to check it
-    centroids = array("centroids", float)
-    if centroids.ndim != 2 or not len(centroids):
-        raise ValidationError("centroids must be a non-empty 2-d array")
-    return labels, len(centroids)
+    return labels, Centroids(array("centroids", float), "assignment file").k
 
 
 @dataclass

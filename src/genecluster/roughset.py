@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, bad_id
 
 
 def _encode_columns(values):
@@ -43,10 +43,8 @@ class InformationTable:
             len(self.attribute_ids),
         ):
             raise ValidationError("value shape does not match object/attribute ids")
-        if len(set(self.object_ids)) != len(self.object_ids):
-            raise ValidationError("object ids must be unique")
-        if len(set(self.attribute_ids)) != len(self.attribute_ids):
-            raise ValidationError("attribute ids must be unique")
+        if fault := bad_id(self.object_ids, "object") or bad_id(self.attribute_ids, "attribute"):
+            raise ValidationError(fault[1])
         if values.dtype.kind == "f" and np.isnan(values).any():
             raise ValidationError("table has missing entries")
         values = values.copy()

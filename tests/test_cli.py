@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -9,6 +10,7 @@ import pytest
 
 from genecluster import PipelineConfig, parse_matrix, write_matrix
 from genecluster.cli import RUN_KEYS, _build_parser, main, run_config
+from genecluster.pipeline import cluster_label
 
 from helpers import bump_matrix
 
@@ -172,6 +174,18 @@ def test_run_carriage_return_in_id_is_input_error(tmp_path, capsys):
         assert f"stage 'parse': {message}" in capsys.readouterr().err
 
 
+def _assert_same_files(one, other):
+    """The two output directories hold the same files; report.json is
+    compared without its timings."""
+    names = sorted(p.name for p in one.iterdir())
+    assert names == sorted(p.name for p in other.iterdir())
+    for name in names:
+        a, b = ((d / name).read_bytes() for d in (one, other))
+        if name == "report.json":
+            a, b = ({k: v for k, v in json.loads(x).items() if k != "timings"} for x in (a, b))
+        assert a == b, name
+
+
 def test_run_reads_crlf_file_like_lf_file(generated, tmp_path):
     matrix, _ = generated
     crlf = tmp_path / "crlf.tsv"
@@ -179,15 +193,46 @@ def test_run_reads_crlf_file_like_lf_file(generated, tmp_path):
     for path, out in ((matrix, "lf"), (crlf, "crlf")):
         code = main(["run", "--input", str(path), "--k", "3", "--out", str(tmp_path / out)])
         assert code == 0
-    names = sorted(p.name for p in (tmp_path / "lf").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "crlf").iterdir())
-    for name in names:
-        lf, crlf_out = ((tmp_path / d / name).read_bytes() for d in ("lf", "crlf"))
-        if name == "report.json":
-            lf, crlf_out = (
-                {k: v for k, v in json.loads(b).items() if k != "timings"} for b in (lf, crlf_out)
-            )
-        assert lf == crlf_out, name
+    _assert_same_files(tmp_path / "lf", tmp_path / "crlf")
+
+
+def test_leading_bom_is_ignored(generated, tmp_path, capsys):
+    # a file saved as "UTF-8 with BOM" reads as the same file without it
+    matrix, _ = generated
+    settings = f"input = {matrix}\nk = 2\nselect = off\n".encode()
+    for name, data in (("plain.cfg", settings), ("bom.cfg", b"\xef\xbb\xbf" + settings)):
+        (tmp_path / name).write_bytes(data)
+        out = str(tmp_path / name.replace(".cfg", ""))
+        assert main(["run", "--config", str(tmp_path / name), "--out", out]) == 0
+    _assert_same_files(tmp_path / "plain", tmp_path / "bom")
+    assignment = tmp_path / "plain" / "assignment.json"
+    bom_assignment = tmp_path / "bom_assignment.json"
+    bom_assignment.write_bytes(b"\xef\xbb\xbf" + assignment.read_bytes())
+    for path, out in ((assignment, "eval"), (bom_assignment, "bom_eval")):
+        assert main([
+            "evaluate", "--data", str(tmp_path / "plain" / "normalized.tsv"),
+            "--assignment", str(path), "--out", str(tmp_path / out),
+        ]) == 0
+    _assert_same_files(tmp_path / "eval", tmp_path / "bom_eval")
+    for name in ("silhouette.json", "silhouette.tsv"):
+        assert (tmp_path / "eval" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    capsys.readouterr()
+
+
+def test_assignment_tsv_quotes_ids_as_csv(tmp_path, capsys):
+    # ids holding a tab, '"' or a line break are legal in a quoted field
+    path = tmp_path / "odd.csv"
+    path.write_text('id,t1,t2,t3\n"g\t1",1,2,3\n"g\n2",3,2,1\n"g""3",1,3,2\ng4,2,2,5\n')
+    rundir = tmp_path / "run"
+    assert main(["run", "--input", str(path), "--k", "2", "--no-select", "--out", str(rundir)]) == 0
+    capsys.readouterr()
+    with open(rundir / "assignment.tsv", newline="", encoding="utf-8") as f:
+        header, *rows = csv.reader(f, delimiter="\t")
+    payload = json.loads((rundir / "assignment.json").read_text())
+    assert header == ["gene", "cluster", "nearest_dist"]
+    assert [r[0] for r in rows] == payload["point_ids"] == ["g\t1", "g\n2", 'g"3', "g4"]
+    assert [r[1] for r in rows] == [cluster_label(c) for c in payload["labels"]]
+    assert [float(r[2]) for r in rows] == payload["nearest_dist"]
 
 
 def test_run_duplicate_gene_in_genes_as_columns_header_is_input_error(tmp_path, capsys):
@@ -502,7 +547,8 @@ def test_evaluate_id_mismatch(generated, tmp_path, capsys):
         "--assignment", str(twisted),
     ])
     assert code == 3
-    assert "do not match" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{twisted}: assignment point ids do not match" in err
 
 
 def test_evaluate_rejects_malformed_assignment(generated, tmp_path, capsys):
@@ -552,8 +598,11 @@ def test_evaluate_rejects_malformed_assignment(generated, tmp_path, capsys):
          "bad 'centroids'"),
         (lambda p: {**p, "labels": [0.7, *p["labels"][1:]]},
          "'labels' must be a list of integers"),
+        (lambda p: {**p, "centroids": []}, "centroids must be a non-empty 2-d array"),
+        (lambda p: {**p, "centroids": [1.0, 2.0]}, "centroids must be a non-empty 2-d array"),
     ],
-    ids=["not-an-object", "ragged-centroids", "fractional-label"],
+    ids=["not-an-object", "ragged-centroids", "fractional-label", "empty-centroids",
+         "flat-centroids"],
 )
 def test_evaluate_rejects_mistyped_assignment(generated, tmp_path, capsys, edit, message):
     matrix, _ = generated
@@ -643,6 +692,11 @@ _BAD_UTF8_TSV = b"id\tt1\tt2\ng1\t1\t2\n\xff\t2\t3\n"
     pytest.param(
         {"m.tsv": _BAD_UTF8_TSV}, ["run", "--input", "m.tsv"],
         3, "stage 'parse': line 3: not UTF-8 text", id="run-input",
+    ),
+    pytest.param(
+        # the bad byte is named by its own line and byte, also after a BOM
+        {"m.tsv": b"\xef\xbb\xbfid\tt1\n\xff\t1\n"}, ["run", "--input", "m.tsv"],
+        3, "stage 'parse': line 2: not UTF-8 text: byte 0xff", id="run-input-after-bom",
     ),
     pytest.param(
         {"m.tsv": _BAD_UTF8_TSV}, ["evaluate", "--data", "m.tsv", "--assignment", "a.json"],

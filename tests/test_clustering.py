@@ -429,6 +429,17 @@ def test_kmeans_matches_oracle(case):
             assert list(zip(*(a.tolist() for a in h.shortcut_audit))) == list(audit)
 
 
+@pytest.mark.parametrize("ids, message", [
+    (("a", "b", "a"), "duplicate point id: 'a'"),
+    (("a", "b\r", "c"), "point id holds a carriage return: 'b\\r'"),
+], ids=["repeated", "carriage-return"])
+def test_dataset_rejects_bad_point_ids(ids, message):
+    # the id rule of the matrices, named by the dataset's kind of id
+    with pytest.raises(ValidationError) as err:
+        Dataset(ids, np.zeros((3, 2)))
+    assert str(err.value) == message
+
+
 def test_cluster_assignment_needs_the_initial_assignment_in_its_history():
     with pytest.raises(ValidationError, match="history"):
         ClusterAssignment((0, 0), (0.0, 0.0), Centroids([[0.0]], "ecia"), history=())

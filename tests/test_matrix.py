@@ -27,7 +27,7 @@ from genecluster import (
     subset_genes,
     write_matrix,
 )
-from genecluster.matrix import GENES_AS_COLUMNS, GENES_AS_ROWS, ORIENTATIONS, _lines
+from genecluster.matrix import GENES_AS_COLUMNS, GENES_AS_ROWS, ORIENTATIONS, _lines, read_utf8
 
 from helpers import oracle_matrix_to_text, oracle_parse_discretized, oracle_parse_matrix
 
@@ -564,6 +564,19 @@ def test_carriage_return_in_id_is_rejected():
     ):
         parse_matrix('id\t"t\r1"\ng1\t1\n')
     assert ExpressionMatrix((1, 2), ("t1",), [[1.0], [2.0]]).gene_ids == (1, 2)
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+def test_leading_bom_is_dropped(tmp_path, orientation):
+    # the BOM sits in the corner label, which no orientation reads
+    data = b"id\tt1\tt2\ng1\t1\t2\ng2\t3\tNA\n"
+    plain, bom = tmp_path / "plain.tsv", tmp_path / "bom.tsv"
+    plain.write_bytes(data)
+    bom.write_bytes(b"\xef\xbb\xbf" + data)
+    assert read_utf8(bom) == data.decode()
+    want, got = (read_matrix(p, orientation) for p in (plain, bom))
+    assert (got.gene_ids, got.condition_ids) == (want.gene_ids, want.condition_ids)
+    np.testing.assert_array_equal(got.values, want.values)
 
 
 _ID = st.text(alphabet='ab,\t"\n é.-e1N', min_size=1, max_size=4).filter(lambda s: s == s.strip())

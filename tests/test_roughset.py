@@ -527,3 +527,16 @@ def test_select_genes_id_mismatch():
 def test_information_table_rejects_missing():
     with pytest.raises(ValidationError):
         InformationTable(("o1",), ("a1",), np.array([[np.nan]]))
+
+
+@pytest.mark.parametrize("objects, attributes, message", [
+    (("o1", "o2", "o1"), ("a", "b"), "duplicate object id: 'o1'"),
+    (("o1", "o2", "o3"), ("a", "a"), "duplicate attribute id: 'a'"),
+    (("o1", "o\r2", "o3"), ("a", "b"), "object id holds a carriage return: 'o\\r2'"),
+    (("o1", "o2", "o3"), ("a", "b\r"), "attribute id holds a carriage return: 'b\\r'"),
+], ids=["repeated-object", "repeated-attribute", "cr-object", "cr-attribute"])
+def test_information_table_rejects_bad_ids(objects, attributes, message):
+    # the id rule of the matrices, named by the table's own kinds of id
+    with pytest.raises(ValidationError) as err:
+        InformationTable(objects, attributes, np.zeros((3, 2), dtype=int))
+    assert str(err.value) == message
