@@ -146,9 +146,10 @@ def cmd_evaluate(args):
     formats = parse_formats(args.format)
     matrix = read_matrix(args.data, delimiter=args.delimiter)
     path = args.assignment
-    labels, k = read_assignment(path, matrix.gene_ids)
+    d = Dataset.from_matrix(matrix)
+    labels, k = read_assignment(path, d)
     try:
-        report = silhouette_scores(Dataset.from_matrix(matrix), labels, k)
+        report = silhouette_scores(d, labels, k)
     except ValueError as err:  # fewer than two non-empty clusters
         raise ValidationError(f"{path}: {err}") from err
     print(cluster_table(silhouette_rows(report), "{:.6f}".format))

@@ -164,9 +164,10 @@ def ecia_initialize(d, k):
     return Centroids(pts[order[np.cumsum(sizes) - sizes + sizes // 2]], "ecia")
 
 
-# Byte budget of one block of distance temporaries in block_distances (the
-# K-Means assignment and the silhouette); tests patch it.
-_BLOCK_BYTES = 8 * 2**20
+# Byte budget of the distance temporaries in block_distances (the K-Means
+# assignment and the silhouette): a quarter for the difference tile, three
+# quarters for the block its caller keeps; tests patch it.
+_BLOCK_BYTES = 4 * 2**20
 
 
 def block_distances(points, others=None):
@@ -178,31 +179,39 @@ def block_distances(points, others=None):
     points[lo:], so dist[i, j] is the distance from points[lo + i] to
     points[lo + j].
 
-    Each block's difference array and distances take at most _BLOCK_BYTES
-    (a block holds one row even when that row alone exceeds it).  A
+    A block is filled in row tiles through one difference buffer of at most
+    a quarter of _BLOCK_BYTES (one row when a row alone is larger).  The
+    block holds as many rows as fit 16 bytes per pair in the other three
+    quarters: 8 for its distance and 8 for the one copy a caller may make of
+    it (a block holds one row even when that row alone exceeds them).  A
     distance is the square root of the sum of one contiguous row of squared
-    differences; numpy sums such a row the same way in any block shape, so
-    no distance depends on the block size.  Floating-point subtraction is
-    exactly antisymmetric, so the distance from x to y has the same bits as
-    the distance from y to x.
+    differences; numpy sums such a row the same way in any tile or block
+    shape, so no distance depends on the budget.  Floating-point subtraction
+    is exactly antisymmetric, so the distance from x to y has the same bits
+    as the distance from y to x.
     """
     dims = points.shape[1]
     widest = len(points) if others is None else len(others)
-    # (row, column) pairs per block: as many whole rows of the first, widest
-    # block as fit the budget; narrower blocks take more rows, not more pairs
-    pairs = max(1, _BLOCK_BYTES // (widest * (dims + 1) * 8)) * widest
-    # one difference buffer for every block: arrays of a new size per block
+    # (row, column) pairs per block and per tile: as many whole rows of the
+    # first, widest block as fit their share of the budget; narrower blocks
+    # take more rows, not more pairs
+    pairs = max(1, _BLOCK_BYTES * 3 // 4 // (widest * 16)) * widest
+    tile = max(1, _BLOCK_BYTES // 4 // (widest * dims * 8)) * widest
+    # one difference buffer for every tile: arrays of a new size per tile
     # would leave holes in the heap and raise the peak resident memory
-    buf = np.empty(min(pairs, len(points) * widest) * dims)
+    buf = np.empty(min(tile, len(points) * widest) * dims)
     lo = 0
     while lo < len(points):
         cols = points[lo:] if others is None else others
-        rows = slice(lo, min(lo + max(1, pairs // len(cols)), len(points)))
-        shape = (rows.stop - lo, len(cols), dims)
-        diff = buf[: math.prod(shape)].reshape(shape)
-        np.subtract(points[rows, None, :], cols[None, :, :], out=diff)
-        np.square(diff, out=diff)
-        dist = diff.sum(axis=2)
+        rows = slice(lo, min(lo + pairs // len(cols), len(points)))
+        dist = np.empty((rows.stop - lo, len(cols)))
+        step = tile // len(cols)
+        for t in range(lo, rows.stop, step):
+            shape = (min(step, rows.stop - t), len(cols), dims)
+            diff = buf[: math.prod(shape)].reshape(shape)
+            np.subtract(points[t : t + shape[0], None, :], cols[None, :, :], out=diff)
+            np.square(diff, out=diff)
+            diff.sum(axis=2, out=dist[t - lo : t - lo + shape[0]])
         yield rows, np.sqrt(dist, out=dist)
         lo = rows.stop
 

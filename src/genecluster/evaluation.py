@@ -30,6 +30,14 @@ class SilhouetteReport:
         return max(self.per_cluster, key=lambda row: row[2])[0]
 
 
+def check_labels(labels, n, k):
+    """Refuse labels unless they give each of n points a cluster in 0..k-1."""
+    if len(labels) != n:
+        raise ValidationError("assignment does not label every point")
+    if labels.min() < 0 or labels.max() >= k:
+        raise ValidationError(f"assignment labels must lie in 0..{k - 1}")
+
+
 def silhouette_scores(d, labels, k):
     """Score every point of dataset d under a labeling into clusters 0..k-1.
 
@@ -40,8 +48,9 @@ def silhouette_scores(d, labels, k):
     label, so each cluster is one run of consecutive points, and each pair
     of points is measured once, in the upper-triangle row blocks of
     block_distances (the blocks' diagonal squares are measured both ways).
-    Memory stays within its byte budget plus O(n * (d + k)); no n x n
-    matrix is formed.  Every point carries its running distance sum to each
+    Memory stays within its byte budget, which counts the one copy of a
+    block that _carried_sum makes, plus O(n * (d + k)); no n x n matrix is
+    formed.  Every point carries its running distance sum to each
     cluster from block to block.  A block's rows finish their own sums from
     the carry over the block's columns, and the block's rows add into the
     carry of every later column, one cluster run at a time.  Either way a
@@ -50,10 +59,7 @@ def silhouette_scores(d, labels, k):
     the block size.
     """
     labels = np.asarray(labels)
-    if len(labels) != d.n_points:
-        raise ValidationError("assignment does not label every point")
-    if labels.min() < 0 or labels.max() >= k:
-        raise ValidationError(f"assignment labels must lie in 0..{k - 1}")
+    check_labels(labels, d.n_points, k)
     sizes = np.bincount(labels, minlength=k)
     occupied = np.flatnonzero(sizes)
     if len(occupied) < 2:

@@ -30,7 +30,7 @@ from .errors import (
     PipelineError,
     ValidationError,
 )
-from .evaluation import SilhouetteReport, silhouette_scores
+from .evaluation import SilhouetteReport, check_labels, silhouette_scores
 from .matrix import (
     GENES_AS_ROWS,
     ORIENTATIONS,
@@ -419,33 +419,41 @@ def _write_artifacts(report, normalized, disc, selected):
         write_new_file(out / "report.tsv", text + "\n")
 
 
-def read_assignment(path, point_ids):
-    """Labels and k of the assignment.json at path, whose points must be
-    point_ids in order; k is the number of its centroids."""
+def read_assignment(path, d):
+    """Labels and k of the assignment.json at path, which must assign the
+    points of dataset d in order and give centroids of d's dimension; k is
+    the number of its centroids.  Every refusal names path."""
     try:
         payload = json.loads(read_utf8(path))
+        if not isinstance(payload, dict):
+            raise ParseError("assignment file must hold a JSON object")
+        for key in ("point_ids", "labels", "nearest_dist", "centroids"):
+            if key not in payload:
+                raise ParseError(f"assignment file lacks {key!r}")
+        if payload["point_ids"] != list(d.point_ids):
+            raise ValidationError("assignment point ids do not match the data matrix rows")
+
+        def array(key, dtype=None):
+            try:
+                return np.array(payload[key], dtype=dtype)
+            except (TypeError, ValueError) as err:
+                raise ValidationError(f"bad {key!r}: {err}") from err
+
+        labels = array("labels")
+        # np.array would truncate a label of 0.7 to 0 under an integer dtype
+        if labels.ndim != 1 or (labels.size and labels.dtype.kind not in "iu"):
+            raise ValidationError("'labels' must be a list of integers")
+        if array("nearest_dist", float).shape != (d.n_points,):
+            raise ValidationError("'nearest_dist' must be a list of one distance per point")
+        centroids = Centroids(array("centroids", float), "assignment file")
+        if centroids.vectors.shape[1] != d.n_dims:
+            raise ValidationError(f"'centroids' must have {d.n_dims} columns, one per condition")
+        check_labels(labels, d.n_points, centroids.k)
     except (ParseError, json.JSONDecodeError) as err:
         raise ParseError(f"{path}: {err}") from err
-    if not isinstance(payload, dict):
-        raise ParseError(f"{path}: assignment file must hold a JSON object")
-    for key in ("point_ids", "labels", "nearest_dist", "centroids"):
-        if key not in payload:
-            raise ParseError(f"{path}: assignment file lacks {key!r}")
-    if payload["point_ids"] != list(point_ids):
-        raise ValidationError(f"{path}: assignment point ids do not match the data matrix rows")
-
-    def array(key, dtype=None):
-        try:
-            return np.array(payload[key], dtype=dtype)
-        except (TypeError, ValueError) as err:
-            raise ValidationError(f"{path}: bad {key!r}: {err}") from err
-
-    labels = array("labels")
-    # np.array would truncate a label of 0.7 to 0 under an integer dtype
-    if labels.ndim != 1 or (labels.size and labels.dtype.kind not in "iu"):
-        raise ValidationError(f"{path}: 'labels' must be a list of integers")
-    array("nearest_dist", float)  # read only to check it
-    return labels, Centroids(array("centroids", float), "assignment file").k
+    except ValidationError as err:
+        raise ValidationError(f"{path}: {err}") from err
+    return labels, centroids.k
 
 
 @dataclass

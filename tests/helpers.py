@@ -104,6 +104,13 @@ def oracle_pairwise_distances(points):
     return np.sqrt((diff * diff).sum(axis=2))
 
 
+def block_budget(rows, cols):
+    """The _BLOCK_BYTES at which the first block of block_distances against
+    cols columns holds exactly rows rows: a block keeps 16 bytes per pair
+    in three quarters of the budget."""
+    return -(-rows * cols * 16 * 4 // 3)
+
+
 def oracle_silhouette(points, labels):
     """Naive double-loop silhouette scores."""
     points = np.asarray(points, dtype=float)

@@ -587,7 +587,7 @@ def test_evaluate_rejects_malformed_assignment(generated, tmp_path, capsys):
         "--assignment", str(out_of_range),
     ])
     assert code == 3
-    assert "labels must lie in" in capsys.readouterr().err
+    assert f"{out_of_range}: assignment labels must lie in 0..3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -600,9 +600,12 @@ def test_evaluate_rejects_malformed_assignment(generated, tmp_path, capsys):
          "'labels' must be a list of integers"),
         (lambda p: {**p, "centroids": []}, "centroids must be a non-empty 2-d array"),
         (lambda p: {**p, "centroids": [1.0, 2.0]}, "centroids must be a non-empty 2-d array"),
+        (lambda p: {**p, "nearest_dist": 7}, "'nearest_dist' must be a list of one distance"),
+        (lambda p: {**p, "centroids": [row[:1] for row in p["centroids"]]},
+         "'centroids' must have 8 columns"),
     ],
     ids=["not-an-object", "ragged-centroids", "fractional-label", "empty-centroids",
-         "flat-centroids"],
+         "flat-centroids", "scalar-nearest-dist", "one-column-centroids"],
 )
 def test_evaluate_rejects_mistyped_assignment(generated, tmp_path, capsys, edit, message):
     matrix, _ = generated
@@ -620,7 +623,7 @@ def test_evaluate_rejects_mistyped_assignment(generated, tmp_path, capsys, edit,
     ])
     captured = capsys.readouterr()
     assert code == 3
-    assert message in captured.err
+    assert f"{bad}: {message}" in captured.err
     assert captured.out == ""
 
 

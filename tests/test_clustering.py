@@ -19,7 +19,7 @@ from genecluster import (
 )
 from genecluster import clustering
 
-from helpers import oracle_assign, oracle_euclidean_distance, oracle_kmeans
+from helpers import block_budget, oracle_assign, oracle_euclidean_distance, oracle_kmeans
 
 
 def dataset_1d(values):
@@ -351,9 +351,7 @@ def test_assign_bit_identical_to_unblocked_oracle(monkeypatch, rows_per_block):
         centroids = rng.normal(size=(k, m)).round(1)
         centroids[k // 2] = centroids[0]  # duplicate centroids tie on every point
         if rows_per_block is not None:
-            monkeypatch.setattr(
-                clustering, "_BLOCK_BYTES", rows_per_block * k * (m + 1) * 8
-            )
+            monkeypatch.setattr(clustering, "_BLOCK_BYTES", block_budget(rows_per_block, k))
         labels, nearest = clustering._assign(points, centroids)
         want_labels, want_nearest = oracle_assign(points, centroids)
         assert labels.tolist() == want_labels.tolist()
@@ -401,7 +399,11 @@ def _kmeans_cases(draw):
     kwargs = {"mode": draw(st.sampled_from(clustering.MODES))}
     if max_iters is not None:
         kwargs["max_iters"] = max_iters
-    block_bytes = draw(st.sampled_from([1, clustering._BLOCK_BYTES]))
+    # one row per block, the default, or any rows per block
+    block_bytes = draw(
+        st.sampled_from([1, clustering._BLOCK_BYTES])
+        | st.integers(1, n).map(lambda rows: block_budget(rows, k))
+    )
     return d, init, kwargs, block_bytes
 
 

@@ -21,7 +21,12 @@ from genecluster import (
 from genecluster import clustering, evaluation
 from genecluster.pipeline import silhouette_payload
 
-from helpers import oracle_pairwise_distances, oracle_silhouette, oracle_silhouette_scores
+from helpers import (
+    block_budget,
+    oracle_pairwise_distances,
+    oracle_silhouette,
+    oracle_silhouette_scores,
+)
 
 
 def make_dataset(points):
@@ -243,8 +248,7 @@ def test_bit_identical_for_any_block_size(monkeypatch, rows_per_block):
         labels = rng.integers(0, 4, size=n)
         labels[:2] = [0, 3]
         want = oracle_silhouette_scores(d, labels, 4)
-        budget = rows_per_block * n * (m + 1) * 8
-        monkeypatch.setattr(clustering, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(clustering, "_BLOCK_BYTES", block_budget(rows_per_block, n))
         blocks = [len(dist) for _, dist in clustering.block_distances(d.points, d.points)]
         assert max(blocks) == min(rows_per_block, n)
         assert sum(blocks) == n
@@ -281,7 +285,7 @@ def test_bit_identical_on_wide_synthetic_input(monkeypatch, budget):
     assert_same_report(silhouette_scores(d, labels, k), want)
 
 
-@pytest.mark.parametrize("budget", [None, 4 * 2**20])
+@pytest.mark.parametrize("budget", [None, 8 * 2**20])
 def test_memory_stays_within_block_budget(monkeypatch, budget):
     if budget is not None:
         monkeypatch.setattr(clustering, "_BLOCK_BYTES", budget)
@@ -320,7 +324,7 @@ def test_bit_identical_to_oracle_for_any_block_budget(case):
     want = oracle_silhouette_scores(d, labels, k)
     # the first block gets rows_per_block rows; later blocks have fewer
     # columns, so they take more rows and their edges cut cluster runs anywhere
-    budget = rows_per_block * d.n_points * (d.n_dims + 1) * 8
+    budget = block_budget(rows_per_block, d.n_points)
     with mock.patch.object(clustering, "_BLOCK_BYTES", budget):
         assert_same_report(silhouette_scores(d, labels, k), want)
 
@@ -330,7 +334,7 @@ def test_upper_triangle_blocks_match_full_matrix(monkeypatch):
     pts = rng.normal(size=(23, 4))
     full = oracle_pairwise_distances(pts)
     assert np.array_equal(full, full.T)  # d(x, y) and d(y, x) share their bits
-    monkeypatch.setattr(clustering, "_BLOCK_BYTES", 3 * 23 * 5 * 8)
+    monkeypatch.setattr(clustering, "_BLOCK_BYTES", block_budget(3, 23))
     starts = []
     for rows, dist in clustering.block_distances(pts):
         starts.append(rows.start)
@@ -338,6 +342,24 @@ def test_upper_triangle_blocks_match_full_matrix(monkeypatch):
         assert dist.size <= 3 * 23  # narrower blocks take more rows, not more pairs
         assert dist.tolist() == full[rows, rows.start :].tolist()
     assert starts[:2] == [0, 3] and len(starts) < 23 // 3
+
+
+def test_blocks_filled_by_several_tiles_match_full_matrix(monkeypatch):
+    rng = np.random.default_rng(49)
+    pts = rng.normal(size=(40, 2))
+    full = oracle_pairwise_distances(pts)
+    budget = block_budget(12, 40)
+    monkeypatch.setattr(clustering, "_BLOCK_BYTES", budget)
+    blocks = list(clustering.block_distances(pts))
+    for rows, dist in blocks:
+        assert dist.tolist() == full[rows, rows.start :].tolist()
+    # but for the triangle's last, every block's differences overflow the
+    # tile's quarter of the budget, so tile edges fall inside the block
+    assert len(blocks) > 1
+    assert all(dist.size * 2 * 8 > budget // 4 for _, dist in blocks[:-1])
+    [(rows, dist)] = clustering.block_distances(pts, pts[:5])
+    assert dist.size * 2 * 8 > budget // 4
+    assert dist.tolist() == full[rows, :5].tolist()
 
 
 def test_silhouette_measures_each_pair_once(monkeypatch):
