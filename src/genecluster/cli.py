@@ -31,13 +31,13 @@ from .pipeline import (
     FORMATS,
     PipelineConfig,
     check_delimiter,
-    cluster_label,
     cluster_table,
     parse_formats,
     read_assignment,
     run_many,
     run_pipeline,
     silhouette_rows,
+    silhouette_summary,
     write_silhouette,
 )
 from .synthetic import generate_synthetic
@@ -144,17 +144,20 @@ def cmd_generate(args):
 def cmd_evaluate(args):
     check_delimiter(args.delimiter)
     formats = parse_formats(args.format)
-    matrix = read_matrix(args.data, delimiter=args.delimiter)
+    try:
+        d = Dataset.from_matrix(read_matrix(args.data, delimiter=args.delimiter))
+    except ParseError as err:
+        raise ParseError(f"{args.data}: {err}") from err
+    except ValidationError as err:
+        raise ValidationError(f"{args.data}: {err}") from err
     path = args.assignment
-    d = Dataset.from_matrix(matrix)
     labels, k = read_assignment(path, d)
     try:
         report = silhouette_scores(d, labels, k)
     except ValueError as err:  # fewer than two non-empty clusters
         raise ValidationError(f"{path}: {err}") from err
     print(cluster_table(silhouette_rows(report), "{:.6f}".format))
-    print(f"compact cluster: {cluster_label(report.compact_cluster)}")
-    print(f"global mean silhouette: {report.global_mean:.6f}")
+    print(silhouette_summary(report))
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -166,7 +166,8 @@ def ecia_initialize(d, k):
 
 # Byte budget of the distance temporaries in block_distances (the K-Means
 # assignment and the silhouette): a quarter for the difference tile, three
-# quarters for the block its caller keeps; tests patch it.
+# quarters for two blocks, as a caller still holds the previous block while
+# the next is filled; tests patch it.
 _BLOCK_BYTES = 4 * 2**20
 
 
@@ -182,8 +183,11 @@ def block_distances(points, others=None):
     A block is filled in row tiles through one difference buffer of at most
     a quarter of _BLOCK_BYTES (one row when a row alone is larger).  The
     block holds as many rows as fit 16 bytes per pair in the other three
-    quarters: 8 for its distance and 8 for the one copy a caller may make of
-    it (a block holds one row even when that row alone exceeds them).  A
+    quarters: 8 for its distance and 8 for the previous block's, which a
+    caller looping over the blocks still holds while the next one is filled
+    (a block holds one row even when that row alone exceeds them).  Every
+    block is a new array that shares no memory with points, others or an
+    earlier block, so a caller may overwrite it.  A
     distance is the square root of the sum of one contiguous row of squared
     differences; numpy sums such a row the same way in any tile or block
     shape, so no distance depends on the budget.  Floating-point subtraction

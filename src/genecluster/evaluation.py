@@ -48,15 +48,16 @@ def silhouette_scores(d, labels, k):
     label, so each cluster is one run of consecutive points, and each pair
     of points is measured once, in the upper-triangle row blocks of
     block_distances (the blocks' diagonal squares are measured both ways).
-    Memory stays within its byte budget, which counts the one copy of a
-    block that _carried_sum makes, plus O(n * (d + k)); no n x n matrix is
-    formed.  Every point carries its running distance sum to each
-    cluster from block to block.  A block's rows finish their own sums from
-    the carry over the block's columns, and the block's rows add into the
-    carry of every later column, one cluster run at a time.  Either way a
-    sum adds the members one at a time in ascending point order (a
-    sequential np.add.accumulate), which fixes every score's bits whatever
-    the block size.
+    Memory stays within the blocks' byte budget, which holds two blocks at
+    once (the one the loop below still holds while the next is filled),
+    plus O(n * (d + k)); no n x n matrix is formed.  Every point carries
+    its running distance sum to each cluster from block to block, and every
+    distance is added where it lies in the block.  Each block row first
+    adds its distances to the later points into their sums for its own
+    cluster.  Then the block's rows finish their own sums: the carry goes
+    into the first column of each cluster run, and the run is accumulated
+    in place.  Either way a sum adds the members one at a time in ascending
+    point order, which fixes every score's bits whatever the block size.
     """
     labels = np.asarray(labels)
     check_labels(labels, d.n_points, k)
@@ -64,54 +65,51 @@ def silhouette_scores(d, labels, k):
     occupied = np.flatnonzero(sizes)
     if len(occupied) < 2:
         raise ValueError("silhouette needs at least two non-empty clusters")
-    # each cluster's members, in ascending point order, form one run of `order`
+    # each cluster's members, in ascending point order, form one run of
+    # `order`; run_of[i] is the run of the i-th point of `order`
     order = np.argsort(labels, kind="stable")
-    ends = np.cumsum(sizes)
-    runs = [(ends[j] - sizes[j], ends[j]) for j in occupied]
+    counts = sizes[occupied]
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    run_of = np.repeat(np.arange(len(occupied)), counts)
     n = d.n_points
     # sums[c, i]: distance from the i-th point of `order` to the members of
-    # the c-th non-empty cluster added so far; starting from zero changes no
-    # bits, as 0.0 + x == x for every distance x
+    # the c-th run added so far; starting from zero changes no bits, as
+    # 0.0 + x == x for every distance x
     sums = np.zeros((len(occupied), n))
     for rows, dist in block_distances(d.points[order]):
         r0, r1 = rows.start, rows.stop
-        for c, (lo, hi) in enumerate(runs):
-            if hi > r0:  # members from r0 on: this block's columns
-                cols = slice(max(lo, r0) - r0, hi - r0)
-                sums[c, rows] = _carried_sum(sums[c, rows], dist[:, cols], axis=1)
-            if max(lo, r0) < min(hi, r1) and r1 < n:  # members in this block's rows
-                members = slice(max(lo, r0) - r0, min(hi, r1) - r0)
-                sums[c, r1:] = _carried_sum(
-                    sums[c, r1:], dist[members, r1 - r0 :], axis=0
-                )
-    # mean distance from every point to every non-empty cluster
-    cluster_mean = np.empty((n, len(occupied)))
-    cluster_mean[order] = sums.T
-    cluster_mean /= sizes[occupied]
-    own = (np.arange(n), np.searchsorted(occupied, labels))
-    size = sizes[labels]
+        # the later points first, as the runs below overwrite the block
+        for i, c in enumerate(run_of[rows].tolist()):
+            sums[c, r1:] += dist[i, r1 - r0 :]
+        for c in np.flatnonzero(ends > r0):  # runs with members from r0 on
+            cols = dist[:, max(starts[c], r0) - r0 : ends[c] - r0]
+            cols[:, 0] += sums[c, rows]  # x + carry has the bits of carry + x
+            sums[c, rows] = np.add.accumulate(cols, axis=1, out=cols)[:, -1]
+    # mean distance from every point of `order` to every run
+    cluster_mean = sums.T / counts
+    own = (np.arange(n), run_of)
+    size = counts[run_of]
     # own-cluster mean excludes the point itself, so undo the self term
     with np.errstate(invalid="ignore"):  # 0/0 for a lone point, which scores 0
         a_mean = cluster_mean[own] * size / (size - 1)
     cluster_mean[own] = np.inf
     b_mean = cluster_mean.min(axis=1)
     denom = np.maximum(a_mean, b_mean)
-    scores = np.zeros(n)
-    np.divide(b_mean - a_mean, denom, out=scores, where=(size > 1) & (denom != 0))
+    sorted_scores = np.zeros(n)
+    np.divide(b_mean - a_mean, denom, out=sorted_scores, where=(size > 1) & (denom != 0))
+    scores = np.empty(n)
+    scores[order] = sorted_scores
     per_point = tuple(
         (pid, int(lab), float(s)) for pid, lab, s in zip(d.point_ids, labels, scores)
     )
+    # a run lists its cluster's scores in ascending point order, as a mask would
     per_cluster = tuple(
-        (int(j), int(sizes[j]), float(scores[labels == j].mean())) for j in occupied
+        (int(j), int(count), float(sorted_scores[lo:hi].mean()))
+        for j, count, lo, hi in zip(occupied, counts, starts, ends)
     )
     return SilhouetteReport(
         per_point=per_point,
         per_cluster=per_cluster,
         global_mean=float(scores.mean()),
     )
-
-
-def _carried_sum(carry, terms, axis):
-    """carry + terms[0] + terms[1] + ... along axis, added one term at a time."""
-    stacked = np.concatenate([np.expand_dims(carry, axis), terms], axis=axis)
-    return np.add.accumulate(stacked, axis=axis, out=stacked).take(-1, axis=axis)

@@ -203,9 +203,8 @@ class PipelineReport:
             f" converged={'yes' if a.converged else 'no'} wcss={a.wcss:.6f}"
         )
         lines.append(cluster_table(self.clusters, "{:.6f}".format))
-        if self.compact_cluster is not None:
-            lines.append(f"compact cluster: {self.compact_cluster}")
-            lines.append(f"global mean silhouette: {self.global_mean_silhouette:.6f}")
+        if self.silhouette is not None:
+            lines.append(silhouette_summary(self.silhouette))
         else:
             lines.append("silhouette: not defined (fewer than two non-empty clusters)")
         return "\n".join(lines)
@@ -222,6 +221,15 @@ def cluster_label(index):
 def silhouette_rows(sil):
     """(label, size, mean silhouette) of every non-empty cluster of a report."""
     return [(cluster_label(c), size, mean) for c, size, mean in sil.per_cluster]
+
+
+def silhouette_summary(sil):
+    """The compact-cluster and global-mean lines that close a run's summary
+    and evaluate's output."""
+    return (
+        f"compact cluster: {cluster_label(sil.compact_cluster)}\n"
+        f"global mean silhouette: {sil.global_mean:.6f}"
+    )
 
 
 def cluster_table(rows, number_format):

@@ -81,6 +81,23 @@ def test_generate_run_evaluate_round_trip(generated, tmp_path, capsys):
         assert (evaldir / name).read_bytes() == (rundir / name).read_bytes()
 
 
+def test_evaluate_prints_the_runs_summary_from_the_cluster_table_on(
+    generated, tmp_path, capsys
+):
+    matrix, _ = generated
+    rundir = tmp_path / "run"
+    assert main(["run", "--input", str(matrix), "--no-select", "--k", "4",
+                 "--out", str(rundir)]) == 0
+    run_out = capsys.readouterr().out
+    # the run's table lists empty clusters too, evaluate's does not
+    assert 0 not in json.loads((rundir / "report.json").read_text())["clustering"][
+        "cluster_sizes"]
+    assert main(["evaluate", "--data", str(rundir / "normalized.tsv"),
+                 "--assignment", str(rundir / "assignment.json")]) == 0
+    eval_out = capsys.readouterr().out
+    assert eval_out == run_out[run_out.index("cluster\tsize\tmean_silhouette"):]
+
+
 def test_run_with_selection_on_informative_matrix(tmp_path, capsys):
     matrix = tmp_path / "bump.tsv"
     write_matrix(bump_matrix(), matrix)
@@ -627,6 +644,27 @@ def test_evaluate_rejects_mistyped_assignment(generated, tmp_path, capsys, edit,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("text, message", [
+    pytest.param("id\tt1\tt2\ng1\t1\n", "line 2: expected 3 fields, got 2", id="ragged"),
+    pytest.param(
+        "id\tt1\tt2\ng1\t1\t2\ng2\tNA\t3\n", "points must be finite (no missing entries)",
+        id="missing-entry",
+    ),
+])
+def test_evaluate_names_the_data_file_in_its_refusals(tmp_path, capsys, text, message):
+    data = tmp_path / "data.tsv"
+    data.write_text(text)
+    evaldir = tmp_path / "ev"
+    # the data is refused before the assignment file is read
+    code = main(["evaluate", "--data", str(data), "--assignment",
+                 str(tmp_path / "absent.json"), "--out", str(evaldir)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert f"genecluster: error: {data}: {message}" in captured.err
+    assert captured.out == ""
+    assert not evaldir.exists()
+
+
 @pytest.mark.parametrize("with_out", [False, True], ids=["no-out", "out"])
 def test_evaluate_rejects_bad_format_before_reading(generated, tmp_path, capsys, with_out):
     matrix, _ = generated
@@ -703,7 +741,7 @@ _BAD_UTF8_TSV = b"id\tt1\tt2\ng1\t1\t2\n\xff\t2\t3\n"
     ),
     pytest.param(
         {"m.tsv": _BAD_UTF8_TSV}, ["evaluate", "--data", "m.tsv", "--assignment", "a.json"],
-        3, "line 3: not UTF-8 text", id="evaluate-data",
+        3, "m.tsv: line 3: not UTF-8 text", id="evaluate-data",
     ),
     pytest.param(
         {"m.tsv": b"id\tt1\ng1\t1\ng2\t2\n", "a.json": b'{\n"point_ids": ["\xff"]}'},

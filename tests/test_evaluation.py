@@ -362,6 +362,23 @@ def test_blocks_filled_by_several_tiles_match_full_matrix(monkeypatch):
     assert dist.tolist() == full[rows, :5].tolist()
 
 
+@pytest.mark.parametrize("budget", [None, 1])
+def test_blocks_are_new_writable_arrays(monkeypatch, budget):
+    # the silhouette adds its running sums into each block in place
+    if budget is not None:
+        monkeypatch.setattr(clustering, "_BLOCK_BYTES", budget)
+    rng = np.random.default_rng(50)
+    pts = rng.normal(size=(30, 3))
+    others = rng.normal(size=(4, 3))
+    for args in ((pts,), (pts, others), (pts, pts)):
+        blocks = [dist for _, dist in clustering.block_distances(*args)]
+        assert (len(blocks) > 1) == (budget == 1)  # at 1 byte, earlier blocks exist
+        for i, dist in enumerate(blocks):
+            assert dist.flags.writeable
+            for other in (*args, *blocks[:i]):
+                assert not np.shares_memory(dist, other)
+
+
 def test_silhouette_measures_each_pair_once(monkeypatch):
     d, labels, k = wide_synthetic_case()
     blocks = []
