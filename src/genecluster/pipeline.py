@@ -292,8 +292,9 @@ def run_pipeline(config):
         timings["select"] = 0.0
 
     if config.k > selected.n_genes:
+        step = "selection" if config.select else "filtering"
         raise ConfigError(
-            f"k={config.k} exceeds the {selected.n_genes} genes available after selection"
+            f"k={config.k} exceeds the {selected.n_genes} genes available after {step}"
         )
     assignment = _run_stage(
         "cluster", timings, cluster_pipeline, selected, config.k, config.strategy,

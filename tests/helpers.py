@@ -97,10 +97,12 @@ def oracle_euclidean_distance(x, y):
     return float(np.sqrt(((x - y) ** 2).sum()))
 
 
-def oracle_pairwise_distances(points):
-    """Full n x n distance matrix from the n x n x d difference array."""
+def oracle_pairwise_distances(points, others=None):
+    """Full n x n distance matrix (n x m against m others) from the whole
+    difference array."""
     points = np.asarray(points, dtype=float)
-    diff = points[:, None, :] - points[None, :, :]
+    others = points if others is None else np.asarray(others, dtype=float)
+    diff = points[:, None, :] - others[None, :, :]
     return np.sqrt((diff * diff).sum(axis=2))
 
 
@@ -109,6 +111,15 @@ def block_budget(rows, cols):
     cols columns holds exactly rows rows: a block keeps 16 bytes per pair
     in three quarters of the budget."""
     return -(-rows * cols * 16 * 4 // 3)
+
+
+def tile_budget(rows, cols, dims):
+    """The _BLOCK_BYTES at which a tile of the first block of
+    block_distances against cols columns of dims coordinates holds exactly
+    rows rows: each of the two fillers' difference buffers is an eighth of
+    the budget.  The block then holds 3 * dims * rows rows (fewer if the
+    points run out)."""
+    return rows * cols * dims * 8 * 8
 
 
 def oracle_silhouette(points, labels):

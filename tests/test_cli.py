@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -109,6 +110,27 @@ def test_run_with_selection_on_informative_matrix(tmp_path, capsys):
     assert report["clustering"]["k"] == 7
     assert (rundir / "selected.tsv").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags, refusal", [
+    pytest.param(
+        ["--no-select"], r"k=50 exceeds the 40 genes available after filtering\n",
+        id="no-select",
+    ),
+    pytest.param([], r"k=50 exceeds the \d+ genes available after selection\n", id="select"),
+])
+def test_run_k_refusal_names_the_step_that_left_the_genes(tmp_path, capsys, flags, refusal):
+    matrix = tmp_path / "m.tsv"
+    assert main([
+        "generate", "--genes", "40", "--conditions", "6", "--clusters", "3",
+        "--seed", "1", "--out", str(matrix),
+    ]) == 0
+    capsys.readouterr()
+    code = main(["run", "--input", str(matrix), *flags, "--k", "50"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"genecluster: error: {refusal}", captured.err)
 
 
 def test_run_requires_input(capsys):

@@ -1,10 +1,11 @@
 import json
+import threading
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genecluster import (
@@ -26,6 +27,7 @@ from helpers import (
     oracle_pairwise_distances,
     oracle_silhouette,
     oracle_silhouette_scores,
+    tile_budget,
 )
 
 
@@ -395,3 +397,121 @@ def test_silhouette_measures_each_pair_once(monkeypatch):
     cells = sum(rows * cols for rows, cols in blocks)
     # the upper triangle, plus the lower half of each block's diagonal square
     assert cells <= (n * n + n * rows_per_block) / 2
+
+
+@st.composite
+def split_block_cases(draw):
+    n = draw(st.integers(1, 60))
+    # around numpy's summation boundaries: one sequential sum below 8
+    # coordinates, eight accumulators up to 128, a split above
+    dims = draw(st.integers(1, 9) | st.sampled_from([60, 127, 128, 129]))
+    others = draw(st.none() | st.integers(1, 9))
+    widest = n if others is None else others
+    # one row per block, any rows per block, or any rows per tile (a block
+    # then holds 3 * dims tiles, or as many as the points leave)
+    budget = draw(
+        st.just(1)
+        | st.integers(1, n).map(lambda rows: block_budget(rows, widest))
+        | st.integers(1, n).map(lambda rows: tile_budget(rows, widest, dims))
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e150]))
+    return n, dims, others, budget, seed, scale
+
+
+# 5 rows in tiles of 2: an odd tile count and a short last tile
+@example((5, 1, None, tile_budget(2, 5, 1), 0, 1.0))
+@example((5, 1, 3, tile_budget(2, 3, 1), 0, 1.0))
+@example((60, 129, None, tile_budget(7, 60, 129), 1, 1.0))
+@settings(max_examples=200, deadline=None)
+@given(split_block_cases())
+def test_split_blocks_equal_the_unblocked_oracle(case):
+    n, dims, others, budget, seed, scale = case
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, dims)) * scale
+    if seed % 3 == 0:
+        pts = pts.round()  # duplicate points and tied distances
+    args = (pts,) if others is None else (pts, rng.normal(size=(others, dims)) * scale)
+    full = oracle_pairwise_distances(*args)
+    with mock.patch.object(clustering, "_BLOCK_BYTES", budget):
+        blocks = list(clustering.block_distances(*args))
+    assert sum(rows.stop - rows.start for rows, _ in blocks) == n
+    for rows, dist in blocks:
+        want = full[rows, rows.start :] if others is None else full[rows]
+        assert dist.tolist() == want.tolist()
+
+
+class CountedThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+@pytest.fixture()
+def counted_threads(monkeypatch):
+    monkeypatch.setattr(CountedThread, "started", 0)
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    return CountedThread
+
+
+def test_silhouette_leaves_no_thread_running(counted_threads):
+    d, labels, k = wide_synthetic_case()
+    before = threading.active_count()
+    silhouette_scores(d, labels, k)
+    assert counted_threads.started > 0  # its blocks span many tiles
+    assert threading.active_count() == before
+
+
+def test_no_thread_outlives_a_block(monkeypatch, counted_threads):
+    rng = np.random.default_rng(51)
+    pts = rng.normal(size=(40, 3))
+    monkeypatch.setattr(clustering, "_BLOCK_BYTES", tile_budget(2, 40, 3))
+    before = threading.active_count()
+    blocks = clustering.block_distances(pts)
+    for _ in range(2):
+        next(blocks)
+        assert threading.active_count() == before
+    blocks.close()
+    assert counted_threads.started == 2
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("filler", ["helper", "caller"])
+def test_an_error_in_either_filler_reaches_the_caller(monkeypatch, counted_threads, filler):
+    square = np.square
+
+    def failing(*args, **kwargs):
+        on_helper = threading.current_thread() is not threading.main_thread()
+        if on_helper == (filler == "helper"):
+            raise FloatingPointError(filler)
+        return square(*args, **kwargs)
+
+    rng = np.random.default_rng(52)
+    pts = rng.normal(size=(40, 3))
+    monkeypatch.setattr(clustering, "_BLOCK_BYTES", tile_budget(2, 40, 3))
+    monkeypatch.setattr(np, "square", failing)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match=filler):
+        list(clustering.block_distances(pts))
+    assert counted_threads.started == 1
+    assert threading.active_count() == before
+
+
+def test_only_blocks_of_several_tiles_start_a_thread(monkeypatch, counted_threads):
+    rng = np.random.default_rng(53)
+    # a selected matrix's handful of genes fits one tile at the default budget
+    pts = rng.normal(size=(9, 20))
+    list(clustering.block_distances(pts))
+    list(clustering.block_distances(pts, pts[:3]))
+    assert counted_threads.started == 0
+    # 11 rows in tiles of 2 against 4 others: blocks of 6 and 5 rows start
+    # one helper each; blocks of one row at 1 byte start none
+    pts = rng.normal(size=(11, 1))
+    monkeypatch.setattr(clustering, "_BLOCK_BYTES", tile_budget(2, 4, 1))
+    assert [len(dist) for _, dist in clustering.block_distances(pts, pts[:4])] == [6, 5]
+    assert counted_threads.started == 2
+    monkeypatch.setattr(clustering, "_BLOCK_BYTES", 1)
+    assert len(list(clustering.block_distances(pts, pts[:4]))) == 11
+    assert counted_threads.started == 2
