@@ -11,7 +11,6 @@ centroid.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 
@@ -166,9 +165,9 @@ def ecia_initialize(d, k):
 
 
 # Byte budget of the distance temporaries in block_distances (the K-Means
-# assignment and the silhouette): an eighth for each of the two fillers'
-# difference tiles, three quarters for two blocks, as a caller still holds
-# the previous block while the next is filled; tests patch it.
+# assignment and the silhouette), however wide a row: an eighth for each of
+# the two fillers' difference tiles, three quarters for two blocks, as a
+# caller still holds the previous block while the next is filled; tests patch it.
 _BLOCK_BYTES = 4 * 2**20
 
 
@@ -181,55 +180,58 @@ def block_distances(points, others=None):
     points[lo:], so dist[i, j] is the distance from points[lo + i] to
     points[lo + j].
 
-    A block is filled in row tiles by two fillers, the calling thread and
-    one helper thread: filler k takes tiles k, k + 2, ..., so a short last
-    tile costs neither much.  numpy releases the GIL inside its loops, so
-    the two fill at once on two cores: on a 2-core Xeon VM the silhouette's
-    blocks take 0.6-0.8 of one filler's time, while K-Means tiles against a
-    few centroids are too small to gain.  The helper starts only for a block
-    of two tiles or more and is joined before the block is yielded, so no
-    thread outlives a block; an error raised in it reaches the caller.
-    Each filler has its own difference buffer of at most an eighth of
-    _BLOCK_BYTES (one row when a row alone is larger), and the calling
-    thread allocates both buffers and every block.  The block holds as many
-    rows as fit 16 bytes per pair in the other three quarters: 8 for its
-    distance and 8 for the previous block's, which a caller looping over
-    the blocks still holds while the next one is filled (a block holds one
-    row even when that row alone exceeds them).  Every block is a new array
-    that shares no memory with points, others or an earlier block, so a
-    caller may overwrite it.  A distance is the square root of the sum of
-    one contiguous row of squared differences; numpy sums such a row the
-    same way in any tile or block shape, and the fillers write disjoint
-    rows, so no distance depends on the budget or on which filler made it.
+    A block holds as many rows as fit 16 bytes per pair in three quarters
+    of _BLOCK_BYTES: 8 for its distance and 8 for the previous block's,
+    which a caller looping over the blocks still holds while the next one
+    is filled (one row at least).  Every block is a new array that shares
+    no memory with points, others or an earlier block, so a caller may
+    overwrite it.
+
+    Two fillers fill a block, the calling thread and one helper thread,
+    filler k taking tiles k, k + 2, ...; numpy releases the GIL inside its
+    loops, so the two run at once on two cores.  Each has a difference
+    buffer of an eighth of _BLOCK_BYTES (one pair's at least), and a tile
+    holds as many (row, column) pairs as the buffer: whole rows, or one
+    row in runs of columns when that row alone overflows it.  The calling
+    thread allocates both buffers and every block.  The helper starts only
+    for a block of two tiles or more and is joined before the block is
+    yielded, so no thread outlives a block; an error raised in it reaches
+    the caller.
+
+    A distance is the square root of the sum of one contiguous row of
+    squared differences, which numpy sums the same way in any tile or block
+    shape, so no distance depends on the budget or on which filler made it.
     Floating-point subtraction is exactly antisymmetric, so the distance
     from x to y has the same bits as the distance from y to x.
     """
     dims = points.shape[1]
     widest = len(points) if others is None else len(others)
-    # (row, column) pairs per block and per tile: as many whole rows of the
-    # first, widest block as fit their share of the budget; narrower blocks
-    # take more rows, not more pairs
+    # (row, column) pairs per block: as many whole rows of the first, widest
+    # block as fit their share of the budget; narrower blocks take more
+    # rows, not more pairs
     pairs = max(1, _BLOCK_BYTES * 3 // 4 // (widest * 16)) * widest
-    tile = max(1, _BLOCK_BYTES // 8 // (widest * dims * 8)) * widest
+    # pairs per tile: as many as a filler's eighth holds, at most all of them
+    tile = min(max(1, _BLOCK_BYTES // 8 // (dims * 8)), len(points) * widest)
     # one difference buffer per filler for every tile: arrays of a new size
     # per tile would leave holes in the heap and raise the peak resident
     # memory
-    size = min(tile, len(points) * widest) * dims
-    bufs = (np.empty(size), np.empty(size))
+    bufs = (np.empty(tile * dims), np.empty(tile * dims))
     lo = 0
     while lo < len(points):
         cols = points[lo:] if others is None else others
         rows = slice(lo, min(lo + pairs // len(cols), len(points)))
         dist = np.empty((rows.stop - lo, len(cols)))
-        tiles = range(lo, rows.stop, tile // len(cols))
+        run = min(tile, len(cols))  # columns per tile: fewer only in one-row tiles
+        tiles = range(lo, rows.stop, tile // run)
 
         def fill(k):
             for t in tiles[k::2]:
-                shape = (min(tiles.step, rows.stop - t), len(cols), dims)
-                diff = bufs[k][: math.prod(shape)].reshape(shape)
-                np.subtract(points[t : t + shape[0], None, :], cols[None, :, :], out=diff)
-                np.square(diff, out=diff)
-                diff.sum(axis=2, out=dist[t - lo : t - lo + shape[0]])
+                for c in range(0, len(cols), run):
+                    a, b = points[t : min(t + tiles.step, rows.stop)], cols[c : c + run]
+                    diff = bufs[k][: len(a) * len(b) * dims].reshape(len(a), len(b), dims)
+                    np.subtract(a[:, None, :], b[None, :, :], out=diff)
+                    np.square(diff, out=diff)
+                    diff.sum(axis=2, out=dist[t - lo : t - lo + len(a), c : c + len(b)])
 
         if len(tiles) > 1:
             _fill_with_helper(fill)

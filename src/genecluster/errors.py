@@ -1,4 +1,4 @@
-"""Exception hierarchy and the id rule shared across the package."""
+"""Exception hierarchy and the id and setting-type rules shared across the package."""
 
 
 class GeneClusterError(Exception):
@@ -52,3 +52,8 @@ def bad_id(labels, kind):
         if "\r" in str(lab):
             return i, f"{kind} id holds a carriage return: {lab!r}"
         seen.add(lab)
+
+
+def wrong_type(value, kinds):
+    """True unless value is one of kinds; a bool fits only bool (True is no count)."""
+    return not isinstance(value, kinds) or isinstance(value, bool) != (kinds is bool)

@@ -50,12 +50,10 @@ def silhouette_scores(d, labels, k):
     block_distances (the blocks' diagonal squares are measured both ways).
     Filling the blocks is about 95% of the time here, and two threads fill
     each block of several tiles; the sums below run on the calling thread
-    alone.  On a 2-core Xeon VM this took the silhouette of 1113 x 60
-    points from 0.107-0.112 s to 0.083-0.087 s, and of 16000 x 60 from
-    22.5-23.0 s to 13.6-14.8 s.  Memory stays within the blocks' byte
-    budget, which holds two blocks at once (the one the loop below still
-    holds while the next is filled) and the two fillers' difference
-    buffers, plus O(n * (d + k)); no n x n matrix is formed.  Every point
+    alone.  Memory stays within the blocks' byte budget, which holds two
+    blocks at once (the one the loop below still holds while the next is
+    filled) and the two fillers' difference buffers, plus O(n * (d + k));
+    no n x n matrix is formed.  Every point
     carries its running distance sum to each cluster from block to block,
     and every distance is added where it lies in the block.  Each block row
     first adds its distances to the later points into their sums for its

@@ -365,10 +365,11 @@ def _require_complete(m):
 def min_max_normalize(m, params=NormalizationParams()):
     """Rescale every condition column linearly onto [new_min, new_max].
 
-    A column's minimum maps to exactly new_min and its maximum to exactly
-    new_max.  A constant column carries no contrast, so the whole column is
-    mapped to new_min and a warning is emitted.  The input must be complete,
-    and a column whose range (max - min) overflows a float is rejected.
+    Entries equal to their column's maximum are then set to exactly
+    new_max, and after them those equal to its minimum to exactly new_min,
+    so a constant column, which carries no contrast, maps wholly to new_min
+    (with a warning).  The input must be complete, and a column whose range
+    (max - min) overflows a float is rejected.
     """
     _require_complete(m)
     v = m.values
@@ -378,39 +379,29 @@ def min_max_normalize(m, params=NormalizationParams()):
         span = hi - lo
     overflow = np.isinf(span)
     if overflow.any():
-        names = [c for c, flag in zip(m.condition_ids, overflow) if flag]
-        raise ValidationError(
-            f"range of condition column(s) overflows a float: {', '.join(names)}"
-        )
+        names = ", ".join(itertools.compress(m.condition_ids, overflow))
+        raise ValidationError(f"range of condition column(s) overflows a float: {names}")
     constant = span == 0
     if constant.any():
-        names = [c for c, flag in zip(m.condition_ids, constant) if flag]
-        warnings.warn(
-            f"constant condition column(s) mapped to new_min: {', '.join(names)}",
-            stacklevel=2,
-        )
-    t = np.zeros_like(v)
-    np.divide(v - lo, span, out=t, where=~constant)
+        names = ", ".join(itertools.compress(m.condition_ids, constant))
+        warnings.warn(f"constant condition column(s) mapped to new_min: {names}", stacklevel=2)
+    t = (v - lo) / np.where(constant, 1.0, span)
     out = params.new_min + t * (params.new_max - params.new_min)
     np.clip(out, params.new_min, params.new_max, out=out)
-    # pin the extremes so the endpoints are exact, not just within rounding
+    # pin the extremes so the endpoints are exact, not just within rounding;
+    # the minimum's pin comes last, so it also maps a constant column
     out[v == hi] = params.new_max
     out[v == lo] = params.new_min
-    out[:, constant] = params.new_min
     return ExpressionMatrix(m.gene_ids, m.condition_ids, out)
 
 
 def discretize(m):
     """Reduce each profile to a regulation pattern over {-1, 0, +1}.
 
-    The first code is the sign of the value at the first condition; each
-    later code is the sign of the change from the previous condition
-    (+1 risen, 0 unchanged, -1 fallen).
+    Each code is the sign of the change from the previous condition (+1
+    risen, 0 unchanged, -1 fallen), a zero standing before the first, so
+    the first code is the sign of the first value.
     """
     _require_complete(m)
-    first = np.sign(m.values[:, :1])
-    if m.n_conditions == 1:
-        codes = first
-    else:
-        codes = np.concatenate([first, np.sign(np.diff(m.values, axis=1))], axis=1)
+    codes = np.sign(np.diff(m.values, axis=1, prepend=0.0))
     return DiscretizedMatrix(m.gene_ids, m.condition_ids, codes.astype(np.int8))

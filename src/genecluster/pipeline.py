@@ -29,6 +29,7 @@ from .errors import (
     ParseError,
     PipelineError,
     ValidationError,
+    wrong_type,
 )
 from .evaluation import SilhouetteReport, check_labels, silhouette_scores
 from .matrix import (
@@ -67,14 +68,22 @@ class PipelineConfig:
     formats: tuple = FORMATS
 
     def validate(self):
+        for name, low in (("k", 1), ("max_iters", 1), ("runs", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if wrong_type(value, (int, type(None)) if name == "seed" else int):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
+            if value is not None and value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
+        for name in ("new_min", "new_max"):
+            if wrong_type(getattr(self, name), (int, float)):
+                raise ConfigError(f"{name} must be an int or float, got {getattr(self, name)!r}")
+        if wrong_type(self.select, bool):
+            raise ConfigError(f"select must be a bool, got {self.select!r}")
         for name, allowed in (
             ("orientation", ORIENTATIONS), ("strategy", STRATEGIES), ("mode", MODES),
         ):
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"unknown {name}: {getattr(self, name)!r}")
-        for name in ("k", "max_iters", "runs"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         try:
             NormalizationParams(self.new_min, self.new_max)
         except ValidationError as err:
@@ -83,8 +92,6 @@ class PipelineConfig:
             raise ConfigError("the random strategy requires --seed")
         if self.strategy == "ecia" and self.seed is not None:
             raise ConfigError("--seed applies only to the random strategy")
-        if self.seed is not None and self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         check_delimiter(self.delimiter)
         _check_formats(self.formats)
 

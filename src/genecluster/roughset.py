@@ -76,12 +76,6 @@ class InformationTable:
         return tuple(sorted(set(idx)))
 
 
-def _refine(group_ids, col_codes):
-    key = group_ids * (int(col_codes.max()) + 1) + col_codes
-    _, inv = np.unique(key, return_inverse=True)
-    return inv.astype(np.int64)
-
-
 def _group_ids(table, attr_positions):
     """Dense block ids of the partition by the given attribute positions."""
     _, inv = np.unique(
@@ -268,14 +262,11 @@ def usqr_reduct(table):
     booleans, B being the largest block of the current partition.
     """
     codes = table._codes
-    n_obj, n_attr = codes.shape
-    denominator = n_obj * n_attr
-    group = np.zeros(n_obj, dtype=np.int64)
-    current = int(_pure(codes, group).sum())
-    remaining = np.arange(n_attr)
-    trace = []
-    while current != denominator:
-        totals = _round_totals(codes, group, remaining)
+    chosen, trace = [], []  # the attribute positions and rounds accepted so far
+    current = int(_pure(codes, _group_ids(table, chosen)).sum())
+    remaining = np.arange(codes.shape[1])
+    while current != codes.size:
+        totals = _round_totals(codes, _group_ids(table, chosen), remaining)
         best = int(np.argmax(totals))  # the first maximum: earliest in table order
         j = int(remaining[best])
         current = int(totals[best])
@@ -283,10 +274,10 @@ def usqr_reduct(table):
             ReductRound(
                 table.attribute_ids[j], current,
                 tuple(map(table.attribute_ids.__getitem__, remaining.tolist())),
-                tuple(totals.tolist()), denominator,
+                tuple(totals.tolist()), codes.size,
             )
         )
-        group = _refine(group, codes[:, j])
+        chosen.append(j)
         remaining = np.delete(remaining, best)
     return Reduct(tuple(trace))
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, wrong_type
 from .matrix import ExpressionMatrix
 
 
@@ -21,6 +21,10 @@ def generate_synthetic(
     seeded generator; equal arguments give identical output.  Returns the
     matrix and the planted group label of every gene.
     """
+    names = ("genes", "conditions", "planted_clusters", "seed")
+    for name, value in zip(names, (genes, conditions, planted_clusters, seed)):
+        if wrong_type(value, int):
+            raise ValidationError(f"{name} must be an int, got {value!r}")
     if genes < 1 or conditions < 1:
         raise ValidationError("need at least one gene and one condition")
     if not 1 <= planted_clusters <= genes:

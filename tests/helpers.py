@@ -118,7 +118,8 @@ def tile_budget(rows, cols, dims):
     block_distances against cols columns of dims coordinates holds exactly
     rows rows: each of the two fillers' difference buffers is an eighth of
     the budget.  The block then holds 3 * dims * rows rows (fewer if the
-    points run out)."""
+    points run out).  With one row and cols below the block's width, a
+    tile is a run of cols columns of one row."""
     return rows * cols * dims * 8 * 8
 
 

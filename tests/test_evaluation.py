@@ -305,6 +305,22 @@ def test_memory_stays_within_block_budget(monkeypatch, budget):
     assert clustering._BLOCK_BYTES / 2 < peak < 2 * clustering._BLOCK_BYTES
 
 
+def test_difference_buffers_stay_within_a_quarter_of_the_budget():
+    # one row's differences (2000 x 60 x 8 bytes, 960 kB) overflow a
+    # filler's eighth of the budget (512 KiB)
+    pts = np.random.default_rng(54).normal(size=(2000, 60))
+    tracemalloc.start()
+    try:
+        blocks = clustering.block_distances(pts)
+        _, dist = next(blocks)  # a block of many tiles: both fillers ran
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    blocks.close()
+    # besides the block, the generator holds both buffers and a few Python objects
+    assert held - dist.nbytes <= clustering._BLOCK_BYTES // 4 + 2**12
+
+
 @st.composite
 def blocked_cases(draw):
     n = draw(st.integers(2, 40))
@@ -407,12 +423,14 @@ def split_block_cases(draw):
     dims = draw(st.integers(1, 9) | st.sampled_from([60, 127, 128, 129]))
     others = draw(st.none() | st.integers(1, 9))
     widest = n if others is None else others
-    # one row per block, any rows per block, or any rows per tile (a block
-    # then holds 3 * dims tiles, or as many as the points leave)
+    # one row per block, any rows per block, any rows per tile (a block
+    # then holds 3 * dims tiles, or as many as the points leave), or runs
+    # of any number of columns of one row
     budget = draw(
         st.just(1)
         | st.integers(1, n).map(lambda rows: block_budget(rows, widest))
         | st.integers(1, n).map(lambda rows: tile_budget(rows, widest, dims))
+        | st.integers(1, widest).map(lambda cols: tile_budget(1, cols, dims))
     )
     seed = draw(st.integers(0, 2**32 - 1))
     scale = draw(st.sampled_from([1.0, 1e-3, 1e150]))
@@ -423,6 +441,9 @@ def split_block_cases(draw):
 @example((5, 1, None, tile_budget(2, 5, 1), 0, 1.0))
 @example((5, 1, 3, tile_budget(2, 3, 1), 0, 1.0))
 @example((60, 129, None, tile_budget(7, 60, 129), 1, 1.0))
+# budgets below one row's differences: rows in runs of 25 + 25 + 10 and 4 + 4 + 1 columns
+@example((60, 129, None, tile_budget(1, 25, 129), 2, 1.0))
+@example((7, 3, 9, tile_budget(1, 4, 3), 0, 1.0))
 @settings(max_examples=200, deadline=None)
 @given(split_block_cases())
 def test_split_blocks_equal_the_unblocked_oracle(case):

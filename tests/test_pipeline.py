@@ -236,6 +236,32 @@ def test_config_validation_rules(small_file):
         cfg = dataclasses.replace(PipelineConfig(small_file), **overrides)
         with pytest.raises(ConfigError):
             cfg.validate()
+    # a wrongly typed setting (the last key) is refused by name before the
+    # input is opened; a bool is no count and a count no switch
+    typed = [
+        {"k": True},
+        {"k": np.int64(3)},
+        {"k": 2.5},
+        {"k": "3"},
+        {"k": None},
+        {"max_iters": 2.5},
+        {"max_iters": True},
+        {"runs": 2.5},
+        {"runs": False},
+        {"strategy": "random", "seed": True},
+        {"strategy": "random", "seed": 1.5},
+        {"strategy": "random", "seed": np.int64(1)},
+        {"new_min": "0"},
+        {"new_max": True},
+        {"select": 0},
+        {"select": "yes"},
+    ]
+    out = Path(small_file).parent / "typed_out"
+    for overrides in typed:
+        cfg = PipelineConfig(str(out / "absent.tsv"), output_dir=str(out), **overrides)
+        with pytest.raises(ConfigError, match=f"^{list(overrides)[-1]} must be "):
+            run_pipeline(cfg)
+        assert not out.exists()
 
 
 def test_random_strategy_seed_accepted(small_file):

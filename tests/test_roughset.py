@@ -29,6 +29,7 @@ from genecluster import (
 from genecluster import roughset
 from genecluster.pipeline import reduct_payload, round_dict
 from helpers import (
+    _oracle_refine,
     oracle_blocks,
     oracle_dependency,
     oracle_mean_dependency,
@@ -392,7 +393,7 @@ def _round_inputs(draw):
         for _ in range(draw(st.integers(1, 4))):
             by_column = draw(st.booleans())
             labels = codes[:, rng.integers(n_attr)] if by_column else rng.integers(0, 3, n_obj)
-            group = roughset._refine(group, labels)
+            group = _oracle_refine(group, labels)
     count = draw(st.integers(1, n_attr))
     candidates = np.sort(rng.permutation(n_attr)[:count])
     return codes, group, candidates

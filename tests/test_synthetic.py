@@ -71,6 +71,18 @@ def test_argument_validation():
         generate_synthetic(5, 3, 2, noise=-0.1)
     with pytest.raises(ValidationError):
         generate_synthetic(5, 3, 2, missing_fraction=1.0)
+    # every count and the seed is an int, and a bool is none; the error names it
+    for args, kwargs, name in (
+        ((10.5, 3, 2), {}, "genes"),
+        ((10, 3.0, 2), {}, "conditions"),
+        ((10, 3, 2.0), {}, "planted_clusters"),
+        ((10, 3, 2), {"seed": 1.5}, "seed"),
+        ((True, 3, 1), {}, "genes"),
+        ((10, 3, np.int64(2)), {}, "planted_clusters"),
+        ((10, 3, 2), {"seed": np.int64(0)}, "seed"),
+    ):
+        with pytest.raises(ValidationError, match=f"^{name} must be an int, got "):
+            generate_synthetic(*args, **kwargs)
 
 
 def test_id_shapes():
