@@ -178,7 +178,8 @@ def block_distances(points, others=None):
     Without others, the distances are those among points and only the upper
     triangle is measured: the block of rows [lo, hi) gets the columns
     points[lo:], so dist[i, j] is the distance from points[lo + i] to
-    points[lo + j].
+    points[lo + j].  Each row is measured from its own diagonal on, and the
+    lower part of the block's diagonal square is copied from the upper part.
 
     A block holds as many rows as fit 16 bytes per pair in three quarters
     of _BLOCK_BYTES: 8 for its distance and 8 for the previous block's,
@@ -192,17 +193,23 @@ def block_distances(points, others=None):
     loops, so the two run at once on two cores.  Each has a difference
     buffer of an eighth of _BLOCK_BYTES (one pair's at least), and a tile
     holds as many (row, column) pairs as the buffer: whole rows, or one
-    row in runs of columns when that row alone overflows it.  The calling
-    thread allocates both buffers and every block.  The helper starts only
-    for a block of two tiles or more and is joined before the block is
-    yielded, so no thread outlives a block; an error raised in it reaches
-    the caller.
+    row in runs of columns when that row alone overflows it.  Without
+    others a tile's columns start at its first row's diagonal, so a row
+    ends up shorter the later it lies and a tile packs as many of those
+    trimmed rows as fit; its later rows also measure the few pairs left of
+    their diagonal, which the copy overwrites.  Each filler walks the tile
+    bounds by arithmetic and allocates nothing; the calling thread
+    allocates both buffers and every block.  The helper starts only for a
+    block of two tiles or more and is joined before the lower part is
+    copied and the block is yielded, so no thread outlives a block; an
+    error raised in it reaches the caller.
 
     A distance is the square root of the sum of one contiguous row of
     squared differences, which numpy sums the same way in any tile or block
     shape, so no distance depends on the budget or on which filler made it.
     Floating-point subtraction is exactly antisymmetric, so the distance
-    from x to y has the same bits as the distance from y to x.
+    from x to y has the same bits as the distance from y to x, and a
+    copied sum has the bits the pair would have been measured with.
     """
     dims = points.shape[1]
     widest = len(points) if others is None else len(others)
@@ -221,22 +228,34 @@ def block_distances(points, others=None):
         cols = points[lo:] if others is None else others
         rows = slice(lo, min(lo + pairs // len(cols), len(points)))
         dist = np.empty((rows.stop - lo, len(cols)))
-        run = min(tile, len(cols))  # columns per tile: fewer only in one-row tiles
-        tiles = range(lo, rows.stop, tile // run)
+
+        def first_column(t):  # of the tile starting at row t, in the block
+            return t - lo if others is None else 0
+
+        def tile_stop(t):  # the row after the tile starting at row t
+            return min(t + max(1, tile // (len(cols) - first_column(t))), rows.stop)
 
         def fill(k):
-            for t in tiles[k::2]:
-                for c in range(0, len(cols), run):
-                    a, b = points[t : min(t + tiles.step, rows.stop)], cols[c : c + run]
-                    diff = bufs[k][: len(a) * len(b) * dims].reshape(len(a), len(b), dims)
-                    np.subtract(a[:, None, :], b[None, :, :], out=diff)
-                    np.square(diff, out=diff)
-                    diff.sum(axis=2, out=dist[t - lo : t - lo + len(a), c : c + len(b)])
+            t, turn = lo, 0
+            while t < rows.stop:
+                stop = tile_stop(t)
+                if turn == k:
+                    a = points[t:stop]
+                    for c in range(first_column(t), len(cols), tile):
+                        b = cols[c : c + tile]
+                        diff = bufs[k][: len(a) * len(b) * dims].reshape(len(a), len(b), dims)
+                        np.subtract(a[:, None, :], b[None, :, :], out=diff)
+                        np.square(diff, out=diff)
+                        np.add.reduce(diff, axis=2, out=dist[t - lo : stop - lo, c : c + len(b)])
+                t, turn = stop, 1 - turn
 
-        if len(tiles) > 1:
+        if tile_stop(lo) < rows.stop:  # the block holds two tiles or more
             _fill_with_helper(fill)
         else:
             fill(0)
+        if others is None:  # each row's pairs left of the diagonal, from their mirrors
+            for i in range(1, len(dist)):
+                dist[i, :i] = dist[:i, i]
         yield rows, np.sqrt(dist, out=dist)
         lo = rows.stop
 

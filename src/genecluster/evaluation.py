@@ -47,8 +47,7 @@ def silhouette_scores(d, labels, k):
     Costs about n**2 * d / 2 arithmetic: the points are sorted stably by
     label, so each cluster is one run of consecutive points, and each pair
     of points is measured once, in the upper-triangle row blocks of
-    block_distances (the blocks' diagonal squares are measured both ways).
-    Filling the blocks is about 95% of the time here, and two threads fill
+    block_distances.  Filling the blocks is about 95% of the time here, and two threads fill
     each block of several tiles; the sums below run on the calling thread
     alone.  Memory stays within the blocks' byte budget, which holds two
     blocks at once (the one the loop below still holds while the next is

@@ -8,13 +8,13 @@ Matrices are immutable after construction; every operation returns a new one.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
 import warnings
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -269,8 +269,8 @@ def read_matrix(path, orientation=GENES_AS_ROWS, delimiter=None):
     return parse_matrix(read_utf8(path), orientation, delimiter)
 
 
-def matrix_to_text(m, delimiter="\t"):
-    """Render a matrix (expression or discretized) back to delimited text.
+def _matrix_lines(m, delimiter):
+    """The lines of a matrix's delimited text, each ending in "\n".
 
     Floats use repr so that a write/read round trip reproduces the exact
     values, and a missing entry is written as NA; discretized matrices are
@@ -282,9 +282,10 @@ def matrix_to_text(m, delimiter="\t"):
     the quoted codes, and every row of floats goes through csv.writer.  The
     header and an id that needs quoting go through csv.writer too.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(["id", *m.condition_ids])
+    # writerow returns what its file's write returns: with str, the line itself
+    writer = csv.writer(SimpleNamespace(write=str), delimiter=delimiter, lineterminator="\n")
+    line = writer.writerow
+    yield line(["id", *m.condition_ids])
     quoting_chars = frozenset((delimiter, '"', "\n"))
 
     def plain(gid):
@@ -294,11 +295,11 @@ def matrix_to_text(m, delimiter="\t"):
         code_cells = {b: f'"{c}"' if delimiter in c else c for b, c in _CODE_TEXT.items()}
         for gid, row in zip(m.gene_ids, m.values):
             if plain(gid):
-                line = delimiter.join(map(code_cells.__getitem__, row.tobytes()))
-                out.write(f"{gid}{delimiter}{line}\n")
+                cells = delimiter.join(map(code_cells.__getitem__, row.tobytes()))
+                yield f"{gid}{delimiter}{cells}\n"
             else:
-                writer.writerow([gid, *map(_CODE_TEXT.__getitem__, row.tobytes())])
-        return out.getvalue()
+                yield line([gid, *map(_CODE_TEXT.__getitem__, row.tobytes())])
+        return
     quote_cells = delimiter in _NUMBER_CHARS
     has_nan = np.isnan(m.values).any(axis=1)
     for gid, row, nan in zip(m.gene_ids, m.values, has_nan):
@@ -306,28 +307,38 @@ def matrix_to_text(m, delimiter="\t"):
         if nan:
             cells = cells.replace("nan", MISSING_OUTPUT_TOKEN)
         if quote_cells or not plain(gid):
-            writer.writerow([gid, *cells.split(", ")])
+            yield line([gid, *cells.split(", ")])
         else:
-            out.write(f"{gid}{delimiter}{cells.replace(', ', delimiter)}\n")
-    return out.getvalue()
+            yield f"{gid}{delimiter}{cells.replace(', ', delimiter)}\n"
+
+
+def matrix_to_text(m, delimiter="\t"):
+    """Render a matrix (expression or discretized) back to delimited text,
+    the lines that write_matrix writes."""
+    return "".join(_matrix_lines(m, delimiter))
 
 
 def write_new_file(path, text):
-    """Write text to path as a new file, unlinking any old file there first.
+    """Write text, a str or an iterable of str, to path as a new file,
+    unlinking any old file there first.
 
-    Truncating a file that was written moments before can stall for tens to
-    hundreds of milliseconds (measured on ext4); writing a new file does
-    not.  A hard link to the old file keeps the old bytes.
+    An iterable is written one item at a time, so its whole text is never
+    held at once.  Truncating a file that was written moments before can
+    stall for tens to hundreds of milliseconds (measured on ext4); writing
+    a new file does not.  A hard link to the old file keeps the old bytes.
     """
     path = Path(path)
     path.unlink(missing_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with path.open("w", encoding="utf-8") as f:
+        f.writelines((text,) if isinstance(text, str) else text)
 
 
 def write_matrix(m, path, delimiter=None):
+    """Write a matrix to path one line at a time; the delimiter comes from
+    the extension unless given."""
     if delimiter is None:
         delimiter = _infer_delimiter(path)
-    write_new_file(path, matrix_to_text(m, delimiter))
+    write_new_file(path, _matrix_lines(m, delimiter))
 
 
 def drop_incomplete_genes(m):

@@ -19,7 +19,7 @@ from genecluster import (
     min_max_normalize,
     silhouette_scores,
 )
-from genecluster import clustering, evaluation
+from genecluster import clustering
 from genecluster.pipeline import silhouette_payload
 
 from helpers import (
@@ -397,22 +397,70 @@ def test_blocks_are_new_writable_arrays(monkeypatch, budget):
                 assert not np.shares_memory(dist, other)
 
 
-def test_silhouette_measures_each_pair_once(monkeypatch):
+@pytest.fixture()
+def measured_tiles(monkeypatch):
+    """The (rows, columns) of every tile the fillers measure, from the
+    difference buffers their subtractions fill."""
+    tiles = []
+    subtract = np.subtract
+
+    def counted(a, b, out):
+        tiles.append(out.shape[:2])  # list.append holds the GIL: no update is lost
+        return subtract(a, b, out=out)
+
+    monkeypatch.setattr(clustering.np, "subtract", counted)
+    return tiles
+
+
+def assert_each_pair_measured_once(tiles, n):
+    # a tile of m rows starts its columns at its first row's diagonal, so
+    # its later rows also measure the m(m-1)/2 pairs left of theirs
+    triangle = n * (n + 1) // 2
+    corners = sum(rows * (rows - 1) // 2 for rows, _ in tiles)
+    assert triangle <= sum(rows * cols for rows, cols in tiles) <= triangle + corners
+
+
+def test_silhouette_measures_each_pair_once(measured_tiles):
     d, labels, k = wide_synthetic_case()
-    blocks = []
-
-    def counted(*args):
-        for rows, dist in clustering.block_distances(*args):
-            blocks.append(dist.shape)
-            yield rows, dist
-
-    monkeypatch.setattr(evaluation, "block_distances", counted)
     silhouette_scores(d, labels, k)
-    n = d.n_points
-    rows_per_block = max(rows for rows, _ in blocks)
-    cells = sum(rows * cols for rows, cols in blocks)
-    # the upper triangle, plus the lower half of each block's diagonal square
-    assert cells <= (n * n + n * rows_per_block) / 2
+    assert_each_pair_measured_once(measured_tiles, d.n_points)
+    assert max(rows for rows, _ in measured_tiles) > 1  # the narrow rows were packed
+
+
+def test_one_row_tiles_measure_the_upper_triangle_exactly(monkeypatch, measured_tiles):
+    rng = np.random.default_rng(55)
+    n, dims = 40, 3
+    d = make_dataset(rng.normal(size=(n, dims)))
+    labels = rng.integers(0, 4, size=n)
+    labels[:2] = [0, 3]
+    # a tile holds 3 pairs: one row of 2 or 3 columns, or a run of 3
+    # columns of a longer row; the last row (1 column) is a block's last
+    monkeypatch.setattr(clustering, "_BLOCK_BYTES", tile_budget(1, 3, dims))
+    silhouette_scores(d, labels, 4)
+    assert {rows for rows, _ in measured_tiles} == {1}
+    assert sum(cols for _, cols in measured_tiles) == n * (n + 1) // 2
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [
+        None,
+        1,
+        tile_budget(2, 40, 3),
+        tile_budget(9, 40, 3),
+        block_budget(7, 40),
+    ],
+)
+def test_packed_tiles_measure_each_pair_once(monkeypatch, measured_tiles, budget):
+    if budget is not None:
+        monkeypatch.setattr(clustering, "_BLOCK_BYTES", budget)
+    pts = np.random.default_rng(56).normal(size=(40, 3))
+    list(clustering.block_distances(pts))
+    assert_each_pair_measured_once(measured_tiles, len(pts))
+    measured_tiles.clear()
+    # K-Means blocks measure every row against every centroid, once
+    list(clustering.block_distances(pts, pts[:4]))
+    assert sum(rows * cols for rows, cols in measured_tiles) == len(pts) * 4
 
 
 @st.composite
@@ -444,6 +492,14 @@ def split_block_cases(draw):
 # budgets below one row's differences: rows in runs of 25 + 25 + 10 and 4 + 4 + 1 columns
 @example((60, 129, None, tile_budget(1, 25, 129), 2, 1.0))
 @example((7, 3, 9, tile_budget(1, 4, 3), 0, 1.0))
+# tiles of 30 pairs: the first trimmed row (31 columns) is just over a tile,
+# and (29 columns) just under one
+@example((31, 60, None, tile_budget(1, 30, 60), 3, 1.0))
+@example((29, 129, None, tile_budget(1, 30, 129), 4, 1.0))
+# tiles of 60 pairs: the second block's tail packs 2, 3, 4 and 6 rows into a tile
+@example((60, 9, None, tile_budget(1, 60, 9), 5, 1.0))
+# one tile holds the whole block, so no helper thread runs
+@example((40, 3, None, tile_budget(40, 40, 3), 7, 1.0))
 @settings(max_examples=200, deadline=None)
 @given(split_block_cases())
 def test_split_blocks_equal_the_unblocked_oracle(case):

@@ -701,6 +701,21 @@ def test_discretized_render_peak_memory_is_a_few_texts():
     assert peak - start <= 4 * len(text)
 
 
+def test_write_peak_memory_is_far_below_the_file_size(tmp_path):
+    m = _wide_synthetic_matrix()
+    path = tmp_path / "m.tsv"
+    # the whole text and its UTF-8 bytes at once took twice the file size here
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        write_matrix(m, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_text(encoding="utf-8") == matrix_to_text(m)
+    assert peak - start < path.stat().st_size / 4
+
+
 def test_parse_peak_memory_is_a_few_value_arrays():
     text = matrix_to_text(_wide_synthetic_matrix())
     # per-cell Python strings and floats took 34.9 MiB here for 1.4 MiB of values
