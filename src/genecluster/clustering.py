@@ -11,7 +11,6 @@ centroid.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +69,8 @@ class Centroids:
         object.__setattr__(self, "vectors", vec)
         if vec.ndim != 2 or vec.shape[0] == 0:
             raise ValidationError("centroids must be a non-empty 2-d array")
+        if not np.isfinite(vec).all():
+            raise ValidationError("centroids must be finite")
 
     @property
     def k(self):
@@ -199,10 +200,11 @@ def block_distances(points, others=None):
     trimmed rows as fit; its later rows also measure the few pairs left of
     their diagonal, which the copy overwrites.  Each filler walks the tile
     bounds by arithmetic and allocates nothing; the calling thread
-    allocates both buffers and every block.  The helper starts only for a
-    block of two tiles or more and is joined before the lower part is
-    copied and the block is yielded, so no thread outlives a block; an
-    error raised in it reaches the caller.
+    allocates both buffers and every block.  The helper runs in a one-worker
+    ThreadPoolExecutor, opened only for a block of two tiles or more and
+    closed before the lower part is copied and the block is yielded;
+    leaving it joins the helper thread, so no thread outlives a block, and
+    an error raised in the helper is re-raised through its future.
 
     A distance is the square root of the sum of one contiguous row of
     squared differences, which numpy sums the same way in any tile or block
@@ -261,24 +263,17 @@ def block_distances(points, others=None):
 
 
 def _fill_with_helper(fill):
-    """Run fill(1) on a helper thread beside fill(0) on this one; join the
-    helper even when fill(0) fails, then raise what the helper raised."""
-    raised = []
+    """Run fill(1) on a helper thread beside fill(0) on this one; leaving the
+    executor joins the helper even when fill(0) fails, then result() raises
+    what the helper raised."""
+    # imported on first use: it brings in logging, which slows the package's
+    # import and which a run whose blocks are all one tile never needs
+    from concurrent.futures import ThreadPoolExecutor
 
-    def helper():
-        try:
-            fill(1)
-        except BaseException as err:  # handed to the caller below
-            raised.append(err)
-
-    thread = threading.Thread(target=helper, name="block_distances")
-    thread.start()
-    try:
+    with ThreadPoolExecutor(1, "block_distances") as helper:
+        helped = helper.submit(fill, 1)
         fill(0)
-    finally:
-        thread.join()
-    if raised:
-        raise raised[0]
+    helped.result()
 
 
 def _assign(points, centroids):

@@ -31,9 +31,13 @@ class SilhouetteReport:
 
 
 def check_labels(labels, n, k):
-    """Refuse labels unless they give each of n points a cluster in 0..k-1."""
-    if len(labels) != n:
+    """Refuse the labels array unless it gives each of n points an integer
+    cluster in 0..k-1."""
+    if labels.ndim and len(labels) != n:  # a scalar is refused as not a list below
         raise ValidationError("assignment does not label every point")
+    # numpy would truncate a label of 0.7 to 0 and read booleans as 0 and 1
+    if labels.ndim != 1 or labels.dtype.kind not in "iu":
+        raise ValidationError("'labels' must be a list of integers")
     if labels.min() < 0 or labels.max() >= k:
         raise ValidationError(f"assignment labels must lie in 0..{k - 1}")
 

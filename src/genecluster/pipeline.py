@@ -456,9 +456,6 @@ def read_assignment(path, d):
                 raise ValidationError(f"bad {key!r}: {err}") from err
 
         labels = array("labels")
-        # np.array would truncate a label of 0.7 to 0 under an integer dtype
-        if labels.ndim != 1 or (labels.size and labels.dtype.kind not in "iu"):
-            raise ValidationError("'labels' must be a list of integers")
         if array("nearest_dist", float).shape != (d.n_points,):
             raise ValidationError("'nearest_dist' must be a list of one distance per point")
         centroids = Centroids(array("centroids", float), "assignment file")

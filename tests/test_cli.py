@@ -642,9 +642,12 @@ def test_evaluate_rejects_malformed_assignment(generated, tmp_path, capsys):
         (lambda p: {**p, "nearest_dist": 7}, "'nearest_dist' must be a list of one distance"),
         (lambda p: {**p, "centroids": [row[:1] for row in p["centroids"]]},
          "'centroids' must have 8 columns"),
+        (lambda p: {**p, "centroids": [[float("nan"), *p["centroids"][0][1:]],
+                                       *p["centroids"][1:]]},
+         "centroids must be finite"),
     ],
     ids=["not-an-object", "ragged-centroids", "fractional-label", "empty-centroids",
-         "flat-centroids", "scalar-nearest-dist", "one-column-centroids"],
+         "flat-centroids", "scalar-nearest-dist", "one-column-centroids", "nan-centroid"],
 )
 def test_evaluate_rejects_mistyped_assignment(generated, tmp_path, capsys, edit, message):
     matrix, _ = generated

@@ -442,6 +442,14 @@ def test_dataset_rejects_bad_point_ids(ids, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_rejects_non_finite_centroids(bad):
+    # a NaN centroid would win the first assignment's argmin for every point
+    d = dataset_1d([0.0, 1.0, 4.0, 5.0])
+    with pytest.raises(ValidationError, match="centroids must be finite"):
+        kmeans(d, Centroids([[bad], [5.0]], "ecia"))
+
+
 def test_cluster_assignment_needs_the_initial_assignment_in_its_history():
     with pytest.raises(ValidationError, match="history"):
         ClusterAssignment((0, 0), (0.0, 0.0), Centroids([[0.0]], "ecia"), history=())

@@ -206,7 +206,9 @@ def test_pairwise_distances_match_unblocked_formula(monkeypatch):
 
 def test_labels_outside_cluster_range_rejected():
     d = make_dataset([0.0, 1.0, 2.0])
-    for labels in ([0, 1, 2], [0, 1, -1]):
+    # out of range, then not one integer per point: floats, booleans, 2-d, a scalar
+    for labels in ([0, 1, 2], [0, 1, -1], [0.0, 1.0, 1.0], [False, True, True],
+                   [[0], [1], [1]], 0):
         with pytest.raises(ValidationError):
             silhouette_scores(d, labels, 2)
 
@@ -555,14 +557,22 @@ def test_no_thread_outlives_a_block(monkeypatch, counted_threads):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("filler", ["helper", "caller"])
-def test_an_error_in_either_filler_reaches_the_caller(monkeypatch, counted_threads, filler):
+# SystemExit is a BaseException that is not an Exception
+@pytest.mark.parametrize("filler, error", [
+    pytest.param("helper", FloatingPointError, id="helper"),
+    pytest.param("caller", FloatingPointError, id="caller"),
+    pytest.param("helper", SystemExit, id="helper-SystemExit"),
+    pytest.param("caller", SystemExit, id="caller-SystemExit"),
+])
+def test_an_error_in_either_filler_reaches_the_caller(
+    monkeypatch, counted_threads, filler, error
+):
     square = np.square
 
     def failing(*args, **kwargs):
         on_helper = threading.current_thread() is not threading.main_thread()
         if on_helper == (filler == "helper"):
-            raise FloatingPointError(filler)
+            raise error(filler)
         return square(*args, **kwargs)
 
     rng = np.random.default_rng(52)
@@ -570,7 +580,7 @@ def test_an_error_in_either_filler_reaches_the_caller(monkeypatch, counted_threa
     monkeypatch.setattr(clustering, "_BLOCK_BYTES", tile_budget(2, 40, 3))
     monkeypatch.setattr(np, "square", failing)
     before = threading.active_count()
-    with pytest.raises(FloatingPointError, match=filler):
+    with pytest.raises(error, match=filler):
         list(clustering.block_distances(pts))
     assert counted_threads.started == 1
     assert threading.active_count() == before
