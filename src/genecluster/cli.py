@@ -26,11 +26,12 @@ from .errors import (
     ValidationError,
 )
 from .evaluation import silhouette_scores
-from .matrix import ORIENTATIONS, read_matrix, read_utf8, write_matrix, write_new_file
+from .matrix import (
+    ORIENTATIONS, check_delimiter, read_matrix, read_utf8, write_matrix, write_new_file,
+)
 from .pipeline import (
     FORMATS,
     PipelineConfig,
-    check_delimiter,
     cluster_table,
     parse_formats,
     read_assignment,
@@ -117,14 +118,10 @@ def cmd_run(args):
 
 
 def cmd_generate(args):
+    knobs = {k: v for k, v in vars(args).items() if k in ("noise", "missing_fraction", "seed")}
     try:
         matrix, labels = generate_synthetic(
-            genes=args.genes,
-            conditions=args.conditions,
-            planted_clusters=args.clusters,
-            noise=args.noise,
-            missing_fraction=args.missing_fraction,
-            seed=args.seed,
+            genes=args.genes, conditions=args.conditions, planted_clusters=args.clusters, **knobs
         )
     except ValidationError as err:
         # bad generator parameters are a configuration problem
@@ -142,7 +139,11 @@ def cmd_generate(args):
 
 
 def cmd_evaluate(args):
-    check_delimiter(args.delimiter)
+    if args.delimiter is not None:
+        try:
+            check_delimiter(args.delimiter)
+        except ValidationError as err:
+            raise ConfigError(str(err)) from err
     formats = parse_formats(args.format)
     try:
         d = Dataset.from_matrix(read_matrix(args.data, delimiter=args.delimiter))
@@ -196,13 +197,16 @@ def _build_parser():
     run.add_argument("--format", help=f"comma list from: {','.join(FORMATS)}")
     run.set_defaults(func=cmd_run)
 
-    gen = sub.add_parser("generate", help="write a synthetic matrix with planted clusters")
+    # an unset --noise, --missing-fraction or --seed is left out of the parsed
+    # args (SUPPRESS), so generate_synthetic's own default holds
+    gen = sub.add_parser("generate", help="write a synthetic matrix with planted clusters",
+                         argument_default=argparse.SUPPRESS)
     gen.add_argument("--genes", type=int, required=True)
     gen.add_argument("--conditions", type=int, required=True)
     gen.add_argument("--clusters", type=int, required=True)
-    gen.add_argument("--noise", type=float, default=0.0)
-    gen.add_argument("--missing-fraction", dest="missing_fraction", type=float, default=0.0)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--noise", type=float)
+    gen.add_argument("--missing-fraction", dest="missing_fraction", type=float)
+    gen.add_argument("--seed", type=int)
     gen.add_argument("--out", required=True, help="output matrix path")
     gen.add_argument("--labels-out", dest="labels_out", default=None,
                      help="also write the planted labels here")

@@ -15,11 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, bad_id
+from .errors import ValidationError, bad_id, frozen_array
 
+# the first entry of each is the default
 MODES = ("exact", "shortcut")
 # centroid seeding schemes, dispatched on by cluster_pipeline
 STRATEGIES = ("ecia", "random")
+MAX_ITERS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,8 +33,7 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "point_ids", tuple(self.point_ids))
-        pts = np.array(self.points, dtype=float)
-        pts.setflags(write=False)
+        pts = frozen_array(self.points, float, "points")
         object.__setattr__(self, "points", pts)
         if pts.ndim != 2 or pts.shape[0] != len(self.point_ids):
             raise ValidationError("points must be 2-d with one row per point id")
@@ -64,8 +65,7 @@ class Centroids:
     provenance: str
 
     def __post_init__(self):
-        vec = np.array(self.vectors, dtype=float)
-        vec.setflags(write=False)
+        vec = frozen_array(self.vectors, float, "vectors")
         object.__setattr__(self, "vectors", vec)
         if vec.ndim != 2 or vec.shape[0] == 0:
             raise ValidationError("centroids must be a non-empty 2-d array")
@@ -102,12 +102,8 @@ class ClusterAssignment:
     def __post_init__(self):
         if not self.history:
             raise ValidationError("history must hold at least the initial assignment")
-        labels = np.array(self.labels, dtype=np.int64)
-        labels.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        nearest = np.array(self.nearest_dist, dtype=float)
-        nearest.setflags(write=False)
-        object.__setattr__(self, "nearest_dist", nearest)
+        for name, dtype in (("labels", np.int64), ("nearest_dist", float)):
+            object.__setattr__(self, name, frozen_array(getattr(self, name), dtype, name))
 
     @property
     def iterations(self):
@@ -299,7 +295,7 @@ def _wcss(points, centroids, labels):
     return float(((points - centroids[labels]) ** 2).sum())
 
 
-def kmeans(d, init, mode="exact", max_iters=100):
+def kmeans(d, init, mode=MODES[0], max_iters=MAX_ITERS):
     """Lloyd iteration from the given initial centroids.
 
     Each iteration recomputes centroids from the current labels (empty
@@ -349,7 +345,9 @@ def kmeans(d, init, mode="exact", max_iters=100):
     )
 
 
-def cluster_pipeline(m, k, strategy="ecia", seed=None, mode="exact", max_iters=100):
+def cluster_pipeline(
+    m, k, strategy=STRATEGIES[0], seed=None, mode=MODES[0], max_iters=MAX_ITERS
+):
     """Cluster the genes of a complete matrix: seed, then run kmeans.
 
     strategy "ecia" is deterministic and takes no seed; "random" requires one.

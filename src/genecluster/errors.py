@@ -1,4 +1,7 @@
-"""Exception hierarchy and the id and setting-type rules shared across the package."""
+"""Exception hierarchy and the rules shared across the package: the id
+rule, the setting-type rule and the array rule."""
+
+import numpy as np
 
 
 class GeneClusterError(Exception):
@@ -57,3 +60,15 @@ def bad_id(labels, kind):
 def wrong_type(value, kinds):
     """True unless value is one of kinds; a bool fits only bool (True is no count)."""
     return not isinstance(value, kinds) or isinstance(value, bool) != (kinds is bool)
+
+
+def frozen_array(values, dtype, field):
+    """A new read-only array of values as dtype (None lets numpy choose); a
+    value numpy cannot convert, such as a ragged row or text, is a
+    ValidationError that names field."""
+    try:
+        arr = np.array(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ValidationError(f"bad {field!r}: {err}") from err
+    arr.setflags(write=False)
+    return arr

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import block_distances
-from .errors import ValidationError
+from .errors import ValidationError, frozen_array
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def silhouette_scores(d, labels, k):
     in ascending point order, which fixes every score's bits whatever the
     block size.
     """
-    labels = np.asarray(labels)
+    labels = frozen_array(labels, None, "labels")
     check_labels(labels, d.n_points, k)
     sizes = np.bincount(labels, minlength=k)
     occupied = np.flatnonzero(sizes)

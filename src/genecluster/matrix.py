@@ -18,19 +18,16 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import EmptyMatrixError, ParseError, ValidationError, bad_id
+from .errors import EmptyMatrixError, ParseError, ValidationError, bad_id, frozen_array
 
 GENES_AS_ROWS = "genes-as-rows"
 GENES_AS_COLUMNS = "genes-as-columns"
 ORIENTATIONS = (GENES_AS_ROWS, GENES_AS_COLUMNS)
 
-# Missing-entry spellings, compared case-insensitively.
-MISSING_TOKENS = frozenset({"", "na", "nan"})
-
 MISSING_OUTPUT_TOKEN = "NA"
 
-# The missing tokens that float() rejects, in every case, mapped to one it
-# reads as NaN; float() already reads every spelling of "nan".
+# The missing-entry spellings that float() rejects ("" and "na" in every
+# case), mapped to one it reads as NaN; float() already reads every "nan".
 _MISSING_AS_NAN = {"": "nan", "na": "nan", "nA": "nan", "Na": "nan", "NA": "nan"}
 
 # The characters a written number cell can hold, including its NA token.
@@ -38,12 +35,6 @@ _NUMBER_CHARS = frozenset("0123456789.+-eEinfaNA")
 
 # The text of each regulation code, keyed by its byte in an int8 array (-1 is 255).
 _CODE_TEXT = {0: "0", 1: "1", 255: "-1"}
-
-
-def _freeze(values, dtype):
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +50,7 @@ class _LabeledMatrix:
     def __post_init__(self):
         object.__setattr__(self, "gene_ids", tuple(self.gene_ids))
         object.__setattr__(self, "condition_ids", tuple(self.condition_ids))
-        object.__setattr__(self, "values", _freeze(self.values, self._dtype))
+        object.__setattr__(self, "values", frozen_array(self.values, self._dtype, "values"))
         if self.values.ndim != 2:
             raise ValidationError("values must be a 2-d array")
         if self.values.shape != (len(self.gene_ids), len(self.condition_ids)):
@@ -101,7 +92,7 @@ class DiscretizedMatrix(_LabeledMatrix):
 
     def __post_init__(self):
         # checked before the int8 cast, which would turn 1.5, 257 or NaN into a code
-        if not np.isin(self.values, (-1, 0, 1)).all():
+        if not np.isin(frozen_array(self.values, None, "values"), (-1, 0, 1)).all():
             raise ValidationError("discretized entries must be -1, 0 or +1")
         super().__post_init__()
 
@@ -124,10 +115,8 @@ class NormalizationParams:
 
 def _parse_cell(field, line_no, col_label):
     token = field.strip()
-    if token.lower() in MISSING_TOKENS:
-        return math.nan
     try:
-        return float(token)
+        return float(_MISSING_AS_NAN.get(token, token))
     except ValueError:
         raise ParseError(
             f"column {col_label!r}: not a number: {token!r}", line=line_no
@@ -146,6 +135,17 @@ def _lines(text):
         start = end
     if start < len(text):
         yield text[start:]
+
+
+def check_delimiter(delimiter):
+    """Refuse a field delimiter unless it is one character other than the
+    csv quote character and a line break."""
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise ValidationError(f"delimiter must be one character, got {delimiter!r}")
+    if delimiter in '"\r\n':
+        raise ValidationError(
+            f"delimiter cannot be the quote character or a line break, got {delimiter!r}"
+        )
 
 
 def _records(text, delimiter):
@@ -179,6 +179,7 @@ def parse_matrix(text, orientation=GENES_AS_ROWS, delimiter="\t"):
     """
     if orientation not in ORIENTATIONS:
         raise ValidationError(f"unknown orientation: {orientation!r}")
+    check_delimiter(delimiter)
     records = _records(text, delimiter)
     try:
         header_no, header = next(records, (None, None))
@@ -315,6 +316,7 @@ def _matrix_lines(m, delimiter):
 def matrix_to_text(m, delimiter="\t"):
     """Render a matrix (expression or discretized) back to delimited text,
     the lines that write_matrix writes."""
+    check_delimiter(delimiter)
     return "".join(_matrix_lines(m, delimiter))
 
 
@@ -338,6 +340,7 @@ def write_matrix(m, path, delimiter=None):
     the extension unless given."""
     if delimiter is None:
         delimiter = _infer_delimiter(path)
+    check_delimiter(delimiter)  # before write_new_file unlinks the old file
     write_new_file(path, _matrix_lines(m, delimiter))
 
 

@@ -17,10 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from .clustering import (
-    MODES, STRATEGIES, Centroids, ClusterAssignment, Dataset, cluster_pipeline,
+    MAX_ITERS, MODES, STRATEGIES, Centroids, ClusterAssignment, Dataset, cluster_pipeline,
 )
 from .errors import (
     ConfigError,
@@ -29,6 +27,7 @@ from .errors import (
     ParseError,
     PipelineError,
     ValidationError,
+    frozen_array,
     wrong_type,
 )
 from .evaluation import SilhouetteReport, check_labels, silhouette_scores
@@ -36,6 +35,7 @@ from .matrix import (
     GENES_AS_ROWS,
     ORIENTATIONS,
     NormalizationParams,
+    check_delimiter,
     discretize,
     drop_incomplete_genes,
     min_max_normalize,
@@ -55,14 +55,14 @@ class PipelineConfig:
     input_path: str
     orientation: str = GENES_AS_ROWS
     delimiter: str | None = None
-    new_min: float = 0.0
-    new_max: float = 1.0
+    new_min: float = NormalizationParams.new_min
+    new_max: float = NormalizationParams.new_max
     select: bool = True
     k: int = 7
-    strategy: str = "ecia"
+    strategy: str = STRATEGIES[0]
     seed: int | None = None
-    mode: str = "exact"
-    max_iters: int = 100
+    mode: str = MODES[0]
+    max_iters: int = MAX_ITERS
     runs: int = 1
     output_dir: str | None = None
     formats: tuple = FORMATS
@@ -86,27 +86,15 @@ class PipelineConfig:
                 raise ConfigError(f"unknown {name}: {getattr(self, name)!r}")
         try:
             NormalizationParams(self.new_min, self.new_max)
+            if self.delimiter is not None:  # None: taken from the file name
+                check_delimiter(self.delimiter)
         except ValidationError as err:
             raise ConfigError(str(err)) from err
         if self.strategy == "random" and self.seed is None:
             raise ConfigError("the random strategy requires --seed")
         if self.strategy == "ecia" and self.seed is not None:
             raise ConfigError("--seed applies only to the random strategy")
-        check_delimiter(self.delimiter)
         _check_formats(self.formats)
-
-
-def check_delimiter(delimiter):
-    """A field delimiter override is None (taken from the file name) or one
-    character other than the csv quote character and a line break."""
-    if delimiter is None:
-        return
-    if not (isinstance(delimiter, str) and len(delimiter) == 1):
-        raise ConfigError(f"delimiter must be one character, got {delimiter!r}")
-    if delimiter in '"\r\n':
-        raise ConfigError(
-            f"delimiter cannot be the quote character or a line break, got {delimiter!r}"
-        )
 
 
 def _check_formats(formats):
@@ -266,10 +254,10 @@ def select_genes(m, d):
     return reduct, subset_genes(m, reduct.selected)
 
 
-def _run_stage(name, timings, fn, *args, **kwargs):
+def _run_stage(name, timings, fn, *args):
     start = time.perf_counter()
     try:
-        result = fn(*args, **kwargs)
+        result = fn(*args)
     except (GeneClusterError, OSError) as err:
         err.stage = name
         raise
@@ -448,17 +436,11 @@ def read_assignment(path, d):
                 raise ParseError(f"assignment file lacks {key!r}")
         if payload["point_ids"] != list(d.point_ids):
             raise ValidationError("assignment point ids do not match the data matrix rows")
-
-        def array(key, dtype=None):
-            try:
-                return np.array(payload[key], dtype=dtype)
-            except (TypeError, ValueError) as err:
-                raise ValidationError(f"bad {key!r}: {err}") from err
-
-        labels = array("labels")
-        if array("nearest_dist", float).shape != (d.n_points,):
+        labels = frozen_array(payload["labels"], None, "labels")
+        if frozen_array(payload["nearest_dist"], float, "nearest_dist").shape != (d.n_points,):
             raise ValidationError("'nearest_dist' must be a list of one distance per point")
-        centroids = Centroids(array("centroids", float), "assignment file")
+        vectors = frozen_array(payload["centroids"], float, "centroids")
+        centroids = Centroids(vectors, "assignment file")
         if centroids.vectors.shape[1] != d.n_dims:
             raise ValidationError(f"'centroids' must have {d.n_dims} columns, one per condition")
         check_labels(labels, d.n_points, centroids.k)

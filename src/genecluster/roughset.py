@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError, bad_id
+from .errors import ValidationError, bad_id, frozen_array
 
 
 def _encode_columns(values):
@@ -37,7 +37,7 @@ class InformationTable:
     def __post_init__(self):
         object.__setattr__(self, "object_ids", tuple(self.object_ids))
         object.__setattr__(self, "attribute_ids", tuple(self.attribute_ids))
-        values = np.asarray(self.values)
+        values = frozen_array(self.values, None, "values")
         if values.ndim != 2 or values.shape != (
             len(self.object_ids),
             len(self.attribute_ids),
@@ -47,8 +47,6 @@ class InformationTable:
             raise ValidationError(fault[1])
         if values.dtype.kind == "f" and np.isnan(values).any():
             raise ValidationError("table has missing entries")
-        values = values.copy()
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
         # integer recoding per attribute; all set operations run on these
         codes = _encode_columns(values)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -9,7 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from genecluster import PipelineConfig, parse_matrix, write_matrix
+from genecluster import (
+    NormalizationParams,
+    PipelineConfig,
+    cluster_pipeline,
+    generate_synthetic,
+    kmeans,
+    parse_matrix,
+    write_matrix,
+)
 from genecluster.cli import RUN_KEYS, _build_parser, main, run_config
 from genecluster.pipeline import cluster_label
 
@@ -52,6 +61,35 @@ def test_generate_rejects_bad_parameters(tmp_path, capsys, bad):
     assert code == 2
     assert "genecluster: error:" in capsys.readouterr().err
     assert not (tmp_path / "m.tsv").exists()
+
+
+def _defaults(fn):
+    return {
+        name: p.default for name, p in inspect.signature(fn).parameters.items()
+        if p.default is not p.empty
+    }
+
+
+def test_each_default_has_one_home(tmp_path):
+    config = PipelineConfig("m.tsv")
+    shared = {
+        kmeans: ("mode", "max_iters"),
+        cluster_pipeline: ("strategy", "seed", "mode", "max_iters"),
+        NormalizationParams: ("new_min", "new_max"),
+    }
+    for fn, names in shared.items():
+        defaults = _defaults(fn)
+        assert {n: getattr(config, n) for n in names} == {n: defaults[n] for n in names}
+    # generate leaves an unset knob out, so generate_synthetic's default holds
+    knobs = {"noise": "--noise", "missing_fraction": "--missing-fraction", "seed": "--seed"}
+    required = ["--genes", "60", "--conditions", "8", "--clusters", "4"]
+    args = _build_parser().parse_args(["generate", *required, "--out", "m.tsv"])
+    assert not knobs.keys() & vars(args).keys()
+    defaults = _defaults(generate_synthetic)
+    given = [word for n, flag in knobs.items() for word in (flag, str(defaults[n]))]
+    assert main(["generate", *required, "--out", str(tmp_path / "bare.tsv")]) == 0
+    assert main(["generate", *required, *given, "--out", str(tmp_path / "given.tsv")]) == 0
+    assert (tmp_path / "bare.tsv").read_bytes() == (tmp_path / "given.tsv").read_bytes()
 
 
 def test_generate_run_evaluate_round_trip(generated, tmp_path, capsys):

@@ -743,3 +743,27 @@ def test_parse_peak_memory_ignores_blank_lines():
         tracemalloc.stop()
     assert m.shape == (1, 2000)
     assert peak - start < 2 * 2**20
+
+
+_REFUSED_DELIMITERS = ['"', "\n", "\r", "", "ab"]
+
+
+@pytest.mark.parametrize("delimiter", _REFUSED_DELIMITERS)
+def test_parse_refuses_a_delimiter_by_the_delimiter_rule(delimiter):
+    # with '"', csv would split nothing and report a one-field header instead
+    with pytest.raises(ValidationError, match="^delimiter "):
+        parse_matrix(SMALL_TSV, delimiter=delimiter)
+
+
+@pytest.mark.parametrize("delimiter", _REFUSED_DELIMITERS)
+def test_writers_refuse_a_delimiter_the_reader_refuses(tmp_path, delimiter):
+    m = parse_matrix(SMALL_TSV)
+    with pytest.raises(ValidationError, match="^delimiter "):
+        matrix_to_text(m, delimiter)
+    path = tmp_path / "m.tsv"
+    write_matrix(m, path)
+    before = path.read_bytes()
+    with pytest.raises(ValidationError, match="^delimiter "):
+        write_matrix(m, path, delimiter=delimiter)
+    # refused before the old file is unlinked
+    assert path.read_bytes() == before
