@@ -153,10 +153,9 @@ def cmd_evaluate(args):
         raise ValidationError(f"{args.data}: {err}") from err
     path = args.assignment
     labels, k = read_assignment(path, d)
-    try:
-        report = silhouette_scores(d, labels, k)
-    except ValueError as err:  # fewer than two non-empty clusters
-        raise ValidationError(f"{path}: {err}") from err
+    report = silhouette_scores(d, labels, k)
+    if report is None:
+        raise ValidationError(f"{path}: silhouette needs at least two non-empty clusters")
     print(cluster_table(silhouette_rows(report), "{:.6f}".format))
     print(silhouette_summary(report))
     if args.out is not None:

@@ -128,13 +128,17 @@ class ClusterAssignment:
 
 def _check_k(k, n):
     if not 1 <= k <= n:
-        raise ValueError(f"k={k} must be between 1 and the point count {n}")
+        raise ValidationError(f"k={k} must be between 1 and the point count {n}")
 
 
 def random_initialize(d, k, seed):
-    """k distinct data points drawn without replacement, reproducible by seed."""
+    """k distinct data points drawn without replacement, reproducible by seed;
+    a k outside 1..n or a seed numpy refuses (negative) is a ValidationError."""
     _check_k(k, d.n_points)
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"bad 'seed': {err}") from err
     idx = rng.choice(d.n_points, size=k, replace=False)
     return Centroids(d.points[idx], f"random(seed={seed})")
 
@@ -306,17 +310,16 @@ def kmeans(d, init, mode=MODES[0], max_iters=MAX_ITERS):
     lets a point whose distance to its own cluster's new centroid did not
     grow keep its label and rescans only the others, which can diverge from
     exact Lloyd; each pass records that test in IterationStats.shortcut_audit.
+    A bad mode, max_iters, centroid width or centroid count is a ValidationError.
     """
     if mode not in MODES:
         raise ValidationError(f"unknown mode: {mode!r}")
     if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+        raise ValidationError("max_iters must be >= 1")
     points = d.points
     centroids = np.array(init.vectors, dtype=float)
-    if centroids.shape[1] != d.n_dims:
-        raise ValueError(
-            f"centroid dimension {centroids.shape[1]} does not match data {d.n_dims}"
-        )
+    if (width := centroids.shape[1]) != d.n_dims:
+        raise ValidationError(f"centroid dimension {width} does not match data {d.n_dims}")
     _check_k(len(centroids), d.n_points)
     labels, nearest = _assign(points, centroids)
     history = [IterationStats(_wcss(points, centroids, labels), len(points), None)]
@@ -351,16 +354,15 @@ def cluster_pipeline(
     """Cluster the genes of a complete matrix: seed, then run kmeans.
 
     strategy "ecia" is deterministic and takes no seed; "random" requires one.
+    Another strategy, a seed that breaks this rule, or a bad argument of the
+    seeding or of kmeans is a ValidationError.
     """
     if strategy not in STRATEGIES:
         raise ValidationError(f"unknown strategy: {strategy!r}")
+    if strategy == "ecia" and seed is not None:
+        raise ValidationError("seed applies only to the random strategy")
+    if strategy == "random" and seed is None:
+        raise ValidationError("the random strategy requires a seed")
     d = Dataset.from_matrix(m)
-    if strategy == "ecia":
-        if seed is not None:
-            raise ValueError("seed applies only to the random strategy")
-        init = ecia_initialize(d, k)
-    else:
-        if seed is None:
-            raise ValueError("the random strategy requires a seed")
-        init = random_initialize(d, k, seed)
+    init = ecia_initialize(d, k) if strategy == "ecia" else random_initialize(d, k, seed)
     return kmeans(d, init, mode=mode, max_iters=max_iters)

@@ -26,7 +26,7 @@ class SilhouetteReport:
         """Cluster with the highest mean silhouette; max keeps the first, so
         ties go to the lowest index."""
         if not self.per_cluster:
-            raise ValueError("report has no clusters")
+            raise ValidationError("report has no clusters")
         return max(self.per_cluster, key=lambda row: row[2])[0]
 
 
@@ -45,8 +45,8 @@ def check_labels(labels, n, k):
 def silhouette_scores(d, labels, k):
     """Score every point of dataset d under a labeling into clusters 0..k-1.
 
-    Requires at least two non-empty clusters, otherwise no between-cluster
-    distance exists and the score is undefined.
+    Bad labels are a ValidationError.  With fewer than two non-empty clusters
+    no between-cluster distance exists, and the result is None.
 
     Costs about n**2 * d / 2 arithmetic: the points are sorted stably by
     label, so each cluster is one run of consecutive points, and each pair
@@ -71,7 +71,7 @@ def silhouette_scores(d, labels, k):
     sizes = np.bincount(labels, minlength=k)
     occupied = np.flatnonzero(sizes)
     if len(occupied) < 2:
-        raise ValueError("silhouette needs at least two non-empty clusters")
+        return None
     # each cluster's members, in ascending point order, form one run of
     # `order`; run_of[i] is the run of the i-th point of `order`
     order = np.argsort(labels, kind="stable")

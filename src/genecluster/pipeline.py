@@ -295,17 +295,16 @@ def run_pipeline(config):
         "cluster", timings, cluster_pipeline, selected, config.k, config.strategy,
         config.seed, config.mode, config.max_iters,
     )
-
-    def _evaluate():  # None with fewer than two non-empty clusters
-        if (assignment.sizes > 0).sum() > 1:
-            return silhouette_scores(Dataset.from_matrix(selected), assignment.labels, config.k)
-
+    silhouette = _run_stage(
+        "evaluate", timings, silhouette_scores, Dataset.from_matrix(selected),
+        assignment.labels, config.k,
+    )
     report = PipelineReport(
         shape_before=raw.shape,
         config=config,
         reduct=reduct,
         assignment=assignment,
-        silhouette=_run_stage("evaluate", timings, _evaluate),
+        silhouette=silhouette,
         timings=timings,
     )
     if config.output_dir is not None:

@@ -252,8 +252,8 @@ def oracle_silhouette_scores(d, labels, k):
         raise ValidationError("assignment does not label every point")
     members = [np.flatnonzero(labels == j) for j in range(k)]
     occupied = [j for j in range(k) if len(members[j])]
-    if len(occupied) < 2:
-        raise ValueError("silhouette needs at least two non-empty clusters")
+    if len(occupied) < 2:  # no between-cluster distance: no silhouette
+        return None
     diff = d.points[:, None, :] - d.points[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
     n = d.n_points

@@ -11,6 +11,7 @@ from genecluster import (
     ClusterAssignment,
     Dataset,
     ExpressionMatrix,
+    GeneClusterError,
     ValidationError,
     cluster_pipeline,
     ecia_initialize,
@@ -77,9 +78,9 @@ def test_random_initialize_draws_distinct_points():
 
 def test_random_initialize_k_bounds():
     d = dataset_1d([1, 2, 3])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         random_initialize(d, 4, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         random_initialize(d, 0, seed=0)
 
 
@@ -318,17 +319,54 @@ def test_cluster_pipeline_k1_centroid_is_mean():
 def test_cluster_pipeline_argument_errors():
     rng = np.random.default_rng(33)
     m = matrix_from(rng, 5, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         cluster_pipeline(m, 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         cluster_pipeline(m, 2, strategy="random")  # missing seed
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         cluster_pipeline(m, 2, strategy="ecia", seed=1)
     with pytest.raises(ValidationError):
         cluster_pipeline(m, 2, strategy="sideways")
     incomplete = ExpressionMatrix(("g1", "g2"), ("t1",), [[1.0], [np.nan]])
     with pytest.raises(ValidationError):
         cluster_pipeline(incomplete, 1)
+
+
+def _three_points():
+    return dataset_1d([1, 2, 3])
+
+
+def _five_genes():
+    return matrix_from(np.random.default_rng(33), 5, 3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ecia_initialize(_three_points(), 0),
+     "k=0 must be between 1 and the point count 3"),
+    (lambda: random_initialize(_three_points(), 4, seed=0),
+     "k=4 must be between 1 and the point count 3"),
+    (lambda: random_initialize(_three_points(), 2, seed=-1),
+     "bad 'seed': expected non-negative integer"),
+    (lambda: kmeans(_three_points(), ecia_initialize(_three_points(), 2), max_iters=0),
+     "max_iters must be >= 1"),
+    (lambda: kmeans(_three_points(), Centroids([[0.0, 1.0]], "x")),
+     "centroid dimension 2 does not match data 1"),
+    (lambda: kmeans(_three_points(), ecia_initialize(_three_points(), 2), mode="fast"),
+     "unknown mode: 'fast'"),
+    (lambda: cluster_pipeline(_five_genes(), 1, seed=3),
+     "seed applies only to the random strategy"),
+    (lambda: cluster_pipeline(_five_genes(), 2, strategy="random"),
+     "the random strategy requires a seed"),
+], ids=[
+    "ecia-k", "random-k", "random-negative-seed", "max-iters", "centroid-width",
+    "mode", "ecia-seed", "random-no-seed",
+])
+def test_bad_arguments_are_validation_errors(call, message):
+    # one refusal channel: every bad argument is the package's own error
+    with pytest.raises(GeneClusterError) as err:
+        call()
+    assert type(err.value) is ValidationError
+    assert str(err.value) == message
 
 
 def test_cluster_pipeline_random_strategy_runs():
@@ -434,9 +472,11 @@ def test_kmeans_matches_oracle(case):
 @pytest.mark.parametrize("ids, message", [
     (("a", "b", "a"), "duplicate point id: 'a'"),
     (("a", "b\r", "c"), "point id holds a carriage return: 'b\\r'"),
-], ids=["repeated", "carriage-return"])
+    (("a", "b"), "points must be 2-d with one row per point id"),
+], ids=["repeated", "carriage-return", "one-short"])
 def test_dataset_rejects_bad_point_ids(ids, message):
-    # the id rule of the matrices, named by the dataset's kind of id
+    # the id rule of the matrices, named by the dataset's kind of id, and
+    # one id per point
     with pytest.raises(ValidationError) as err:
         Dataset(ids, np.zeros((3, 2)))
     assert str(err.value) == message

@@ -1,4 +1,5 @@
-"""The array rule of errors.py at every site that takes an array in."""
+"""The array rule of errors.py, and the shape rules, at every site that
+takes an array in."""
 
 import numpy as np
 import pytest
@@ -60,3 +61,25 @@ def test_frozen_array_is_a_new_read_only_copy():
     again = frozen_array(arr, None, "values")
     assert not np.shares_memory(again, arr) and not again.flags.writeable
     assert again.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Dataset(("a", "b"), [1.0, 2.0]), "points must be 2-d with one row per point id"),
+    (lambda: Dataset((), np.zeros((0, 2))),
+     "dataset must have at least one point and one coordinate"),
+    (lambda: Dataset(("a",), np.zeros((1, 0))),
+     "dataset must have at least one point and one coordinate"),
+    (lambda: ExpressionMatrix(("g1",), ("t1",), [1.0]), "values must be a 2-d array"),
+    (lambda: ExpressionMatrix(("g1", "g2"), ("t1",), [[1.0]]),
+     "value shape (1, 1) does not match 2 genes x 1 conditions"),
+    (lambda: DiscretizedMatrix((), ("t1",), np.zeros((0, 1))),
+     "matrix must have at least one gene and one condition"),
+], ids=[
+    "dataset-1d", "dataset-no-point", "dataset-no-coordinate", "matrix-1d", "matrix-shape",
+    "matrix-no-gene",
+])
+def test_an_array_of_the_wrong_shape_is_a_validation_error(make, message):
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert type(err.value) is ValidationError
+    assert str(err.value) == message

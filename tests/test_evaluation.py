@@ -81,12 +81,11 @@ def test_coincident_points_score_zero_not_nan():
 
 
 def test_single_cluster_is_an_error():
+    # no between-cluster distance exists, so there is no silhouette
     d = make_dataset([0.0, 1.0, 2.0])
-    with pytest.raises(ValueError):
-        silhouette_scores(d, [0, 0, 0], 1)
+    assert silhouette_scores(d, [0, 0, 0], 1) is None
     # k = 2 declared but only one cluster occupied: still undefined
-    with pytest.raises(ValueError):
-        silhouette_scores(d, [1, 1, 1], 2)
+    assert silhouette_scores(d, [1, 1, 1], 2) is None
 
 
 def test_label_count_mismatch_rejected():
@@ -177,7 +176,7 @@ def test_compact_cluster_tie_takes_lowest_index():
 
 
 def test_compact_cluster_empty_report_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         SilhouetteReport((), (), 0.0).compact_cluster
 
 

@@ -476,6 +476,13 @@ def test_subset_genes_unknown_id():
         subset_genes(m, ["nope"])
 
 
+def test_subset_genes_of_no_gene_is_empty():
+    m = parse_matrix(SMALL_TSV)
+    with pytest.raises(EmptyMatrixError) as err:
+        subset_genes(m, ())
+    assert str(err.value) == "gene subset is empty"
+
+
 def _parse_outcome(parse, text, orientation=GENES_AS_ROWS, delimiter="\t"):
     """What parsing text gives: the error's type and message, or the ids and
     the exact bits of the values."""

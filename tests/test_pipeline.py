@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -25,6 +26,7 @@ from genecluster import (
     cluster_label,
     cluster_pipeline,
     discretize,
+    generate_synthetic,
     min_max_normalize,
     NormalizationParams,
     read_matrix,
@@ -414,6 +416,41 @@ def test_only_the_pipeline_knows_json_layouts(module):
     assert "json" not in imported
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     assert "to_dict" not in {n.name for n in ast.walk(tree) if isinstance(n, functions)}
+
+
+def test_no_module_raises_a_bare_value_error():
+    # every refusal of the package is a GeneClusterError
+    raised = []
+    for path in sorted(Path(genecluster.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                    raised.append(f"{path.name}:{node.lineno}")
+    assert raised == []
+
+
+def _traced_peak(tmp_path, genes):
+    """tracemalloc peak of one ECIA --no-select k=7 run that writes its artifacts."""
+    m, _ = generate_synthetic(genes, 60, 7, noise=1.0, seed=1)
+    path = tmp_path / f"in-{genes}.tsv"
+    write_matrix(m, path)
+    config = PipelineConfig(str(path), select=False, k=7, output_dir=str(tmp_path / str(genes)))
+    tracemalloc.start()
+    try:
+        run_pipeline(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_whole_pipeline_memory_grows_linearly_in_genes(tmp_path, capsys):
+    # twice the genes raises the peak about 1.3-1.5x from 500 to 4000 genes;
+    # a stage whose memory grew as genes**2 would take it toward 4x.  A first
+    # run imports what the package loads lazily, so neither peak holds that.
+    _traced_peak(tmp_path, 100)
+    assert _traced_peak(tmp_path, 2000) / _traced_peak(tmp_path, 1000) < 2.3
 
 
 def test_cluster_label_format():

@@ -535,9 +535,11 @@ def test_information_table_rejects_missing():
     (("o1", "o2", "o3"), ("a", "a"), "duplicate attribute id: 'a'"),
     (("o1", "o\r2", "o3"), ("a", "b"), "object id holds a carriage return: 'o\\r2'"),
     (("o1", "o2", "o3"), ("a", "b\r"), "attribute id holds a carriage return: 'b\\r'"),
-], ids=["repeated-object", "repeated-attribute", "cr-object", "cr-attribute"])
+    (("o1", "o2"), ("a", "b"), "value shape does not match object/attribute ids"),
+], ids=["repeated-object", "repeated-attribute", "cr-object", "cr-attribute", "one-short"])
 def test_information_table_rejects_bad_ids(objects, attributes, message):
-    # the id rule of the matrices, named by the table's own kinds of id
+    # the id rule of the matrices, named by the table's own kinds of id, and
+    # one object id per row
     with pytest.raises(ValidationError) as err:
         InformationTable(objects, attributes, np.zeros((3, 2), dtype=int))
     assert str(err.value) == message
